@@ -248,44 +248,28 @@ func BenchmarkE16AMSort(b *testing.B) {
 	b.ReportMetric(float64(comps), "comparisons/op")
 }
 
-// BenchmarkNativeEngine measures the goroutine-parallel superstep
-// engine itself (not a paper experiment; included for harness costing).
-func BenchmarkNativeEngine(b *testing.B) {
-	prog := progtest.Rotate(1024, progtest.Descending(1024)...)
-	for i := 0; i < b.N; i++ {
-		if _, err := dbsp.Run(prog, alphaHalf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunSharded measures the sharded engine against the native
-// one at matched v (not a paper experiment; included for harness
-// costing). Both run the same program, so ns/op is directly comparable
-// across the sub-benchmarks; the results themselves are bit-identical
-// by the five-way differential suite.
+// BenchmarkRunSharded measures the D-BSP engine across shard counts
+// (not a paper experiment; included for harness costing) at a small
+// machine, where per-superstep overhead dominates and the default is
+// one inline shard, and at a big one, where arena traffic dominates.
+// Every sub-benchmark's result is bit-identical (FuzzEnginesAgree), so
+// ns/op compares directly within each v; shards=default is dbsp.Run.
 func BenchmarkRunSharded(b *testing.B) {
-	const v = 1 << 14
-	prog := progtest.Rotate(v, progtest.Descending(v)...)
-	b.Run("engine=native", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := dbsp.Run(prog, alphaHalf); err != nil {
-				b.Fatal(err)
+	for _, v := range []int{64, 1 << 14} {
+		prog := progtest.Rotate(v, progtest.Descending(v)...)
+		for _, shards := range []int{1, 8, 0} {
+			name := fmt.Sprintf("v=%d/shards=%d", v, shards)
+			if shards == 0 {
+				name = fmt.Sprintf("v=%d/shards=default", v)
 			}
-		}
-	})
-	for _, shards := range []int{1, 8, 0} {
-		name := fmt.Sprintf("engine=sharded/shards=%d", shards)
-		if shards == 0 {
-			name = "engine=sharded/shards=default"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := dbsp.RunSharded(prog, alphaHalf, shards); err != nil {
-					b.Fatal(err)
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := dbsp.RunSharded(prog, alphaHalf, shards); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

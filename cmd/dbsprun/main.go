@@ -5,27 +5,28 @@
 //
 // Usage:
 //
-//	dbsprun -prog sort -v 256 -g x^0.5 [-engine native|sharded] [-shards N]
+//	dbsprun -prog sort -v 256 -g x^0.5 [-shards N]
 //	        [-sim] [-check] [-metrics] [-trace-out f.jsonl] [-profile p]
 //	        [-serve ADDR] [-serve-linger D] [-cost-profile F]
 //
-// Engines: "native" chunks handler execution over GOMAXPROCS worker
-// goroutines against one flat context arena; "sharded" multiplexes the
-// v processors over -shards per-shard arenas with a two-phase delivery
-// exchange, scaling to v = 2^20 and beyond. Both produce bit-identical
-// results — contexts, per-step costs, totals and error text.
+// The engine multiplexes the v processors over -shards per-shard
+// context arenas with a two-phase delivery exchange, scaling to
+// v = 2^20 and beyond. -shards 0 (the default) derives the count from
+// v: one inline shard for small machines, up to GOMAXPROCS for big
+// ones. Every shard count prints the same bytes — contexts, per-step
+// costs, totals and error text are bit-identical.
 //
 // Programs: rotate, bcast, prefix, matmul, fft, fftrec, sort, permute,
 // conv, reduce, stencil.
 //
-// With -check the native run is executed under the internal/invariant
+// With -check the D-BSP run is executed under the internal/invariant
 // debug checker, which validates after every superstep that delivery
 // conserved the message multiset, that no message left its cluster,
 // and that Transpose declarations match the actual traffic; violations
 // print to stderr and exit 1.
 //
 // With -metrics the run is instrumented through internal/obs: the
-// native engine and all three simulators (HMM, BT, and the Theorem 10
+// engine and all three simulators (HMM, BT, and the Theorem 10
 // self-simulation with v′ host processors) publish their accounting to
 // one registry, and a per-phase/per-level cost report is printed. With
 // -trace-out the structured simulation events are written as JSONL.
@@ -117,8 +118,7 @@ func fatal(format string, args ...any) {
 func main() {
 	progName := flag.String("prog", "rotate", "program: rotate|bcast|prefix|matmul|fft|fftrec|sort|permute|conv|reduce|stencil")
 	v := flag.Int("v", 64, "processors (power of two; matmul needs a power of four)")
-	engine := flag.String("engine", "native", "execution engine: native|sharded")
-	shards := flag.Int("shards", 0, "shard count for -engine=sharded (0 = GOMAXPROCS, clamped to v)")
+	shards := flag.Int("shards", 0, "engine shard count (0 = derived from v, at most GOMAXPROCS; clamped to v)")
 	gSpec := flag.String("g", "x^0.5", "bandwidth/access function: log, x^A, const:C, linear:S")
 	sim := flag.Bool("sim", false, "also simulate on HMM and BT hosts with f = g")
 	verbose := flag.Bool("steps", false, "print every superstep (default: summary by label)")
@@ -139,14 +139,8 @@ func main() {
 	if *v < 1 || *v&(*v-1) != 0 {
 		usageErr("-v %d is not a power of two", *v)
 	}
-	if *engine != "native" && *engine != "sharded" {
-		usageErr("unknown -engine %q (want native or sharded)", *engine)
-	}
 	if *shards < 0 {
 		usageErr("-shards must be non-negative, got %d", *shards)
-	}
-	if *shards > 0 && *engine != "sharded" {
-		usageErr("-shards requires -engine=sharded")
 	}
 	g, err := cost.Parse(*gSpec)
 	if err != nil {
@@ -201,7 +195,7 @@ func main() {
 	}
 
 	// Observability: one registry + optional JSONL event sink and
-	// span-stack profile, shared by the native run and every simulator.
+	// span-stack profile, shared by the D-BSP run and every simulator.
 	var o *obs.Observer
 	var reg *obs.Registry
 	var prof *obs.Profile
@@ -244,22 +238,13 @@ func main() {
 	var res *dbsp.Result
 	var tr *dbsp.Trace
 	var checker *invariant.Checker
-	sharded := *engine == "sharded"
 	switch {
-	case *check && sharded:
-		res, tr, checker, err = invariant.RunSharded(prog, g, *shards, o)
 	case *check:
-		res, tr, checker, err = invariant.Run(prog, g, o)
+		res, tr, checker, err = invariant.Run(prog, g, *shards, o)
 	case *trace || o != nil:
-		if sharded {
-			res, tr, err = dbsp.RunShardedObserved(prog, g, *shards, o)
-		} else {
-			res, tr, err = dbsp.RunObserved(prog, g, o)
-		}
-	case sharded:
-		res, err = dbsp.RunSharded(prog, g, *shards)
+		res, tr, err = dbsp.RunShardedObserved(prog, g, *shards, o)
 	default:
-		res, err = dbsp.Run(prog, g)
+		res, err = dbsp.RunSharded(prog, g, *shards)
 	}
 	if err != nil {
 		fatal("%v", err)

@@ -73,7 +73,7 @@ func TestMetricsReportAllSimulators(t *testing.T) {
 }
 
 // TestTraceOutJSONL: -trace-out must produce parseable events from the
-// native engine and the simulators.
+// engine and the simulators.
 func TestTraceOutJSONL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go run")
@@ -180,37 +180,37 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
-// TestShardedEngineOutputIdentical: the same program under
-// -engine=native and -engine=sharded (any shard count) must print
-// byte-identical stdout — the cost breakdown exposes every charged
-// number, so byte equality here is the CLI-level bit-identity check.
+// TestShardedEngineOutputIdentical: the same program at the default
+// shard count and at any explicit -shards must print byte-identical
+// stdout — the cost breakdown exposes every charged number, so byte
+// equality here is the CLI-level bit-identity check.
 func TestShardedEngineOutputIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go run")
 	}
-	native, code := runSelf(t, "-prog", "sort", "-v", "64", "-g", "x^0.5", "-steps")
+	def, code := runSelf(t, "-prog", "sort", "-v", "64", "-g", "x^0.5", "-steps")
 	if code != 0 {
-		t.Fatalf("native exit %d:\n%s", code, native)
+		t.Fatalf("default shards exit %d:\n%s", code, def)
 	}
 	for _, shards := range []string{"1", "3", "64", "200"} {
-		sharded, code := runSelf(t, "-prog", "sort", "-v", "64", "-g", "x^0.5", "-steps",
-			"-engine", "sharded", "-shards", shards)
+		sharded, code := runSelf(t, "-prog", "sort", "-v", "64", "-g", "x^0.5", "-steps", "-shards", shards)
 		if code != 0 {
-			t.Fatalf("sharded (shards=%s) exit %d:\n%s", shards, code, sharded)
+			t.Fatalf("shards=%s exit %d:\n%s", shards, code, sharded)
 		}
-		if sharded != native {
-			t.Errorf("shards=%s: output differs from native\nnative:\n%s\nsharded:\n%s", shards, native, sharded)
+		if sharded != def {
+			t.Errorf("shards=%s: output differs from the default\ndefault:\n%s\nshards=%s:\n%s", shards, def, shards, sharded)
 		}
 	}
 }
 
-// TestShardedCheckFlag: -check must compose with -engine=sharded — the
-// invariant checker rides the sharded engine's StepEvent stream.
+// TestShardedCheckFlag: -check must compose with an explicit -shards —
+// the invariant checker rides the engine's StepEvent stream at any
+// shard count.
 func TestShardedCheckFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go run")
 	}
-	out, code := runSelf(t, "-prog", "fft", "-v", "16", "-g", "log", "-check", "-engine", "sharded", "-shards", "3")
+	out, code := runSelf(t, "-prog", "fft", "-v", "16", "-g", "log", "-check", "-shards", "3")
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out)
 	}
@@ -235,9 +235,8 @@ func TestFlagValidationExitsTwo(t *testing.T) {
 		{"-serve", "noport"},
 		{"-serve", "127.0.0.1:0", "-serve-linger", "-1s"},
 		{"-serve-linger", "5s"}, // -serve-linger without -serve
-		{"-engine", "threaded"},
-		{"-shards", "-2", "-engine", "sharded"},
-		{"-shards", "4"}, // -shards without -engine=sharded
+		{"-engine", "sharded"},  // unknown flag
+		{"-shards", "-2"},
 		{"extra-arg"},
 	}
 	for _, args := range cases {

@@ -3,11 +3,11 @@
 // Reference" (IPDPS 2004, Best Paper — Algorithms Track).
 //
 // The library builds, from scratch, the three machine models the paper
-// relates — the Decomposable BSP (internal/dbsp, executed natively with
-// one goroutine per processor per superstep), the Hierarchical Memory
-// Model (internal/hmm) and its block-transfer extension (internal/bt) —
-// and the paper's three simulation schemes on top of them
-// (internal/core and its subpackages):
+// relates — the Decomposable BSP (internal/dbsp, executed natively by
+// one engine that multiplexes the v processors over a few shards), the
+// Hierarchical Memory Model (internal/hmm) and its block-transfer
+// extension (internal/bt) — and the paper's three simulation schemes
+// on top of them (internal/core and its subpackages):
 //
 //	D-BSP -> HMM     Theorem 5 / Corollary 6: linear slowdown
 //	D-BSP -> BT      Theorem 12: access-function independence

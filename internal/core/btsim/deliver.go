@@ -15,7 +15,7 @@ import (
 // messages into (tag, src, payload) records, sorts them with the BT
 // sorting substrate — tag = dest·(M+1) + extraction index, so records
 // order by destination and then by the ascending-sender discipline the
-// native engine uses — and merges them into the destination inboxes
+// dbsp engine uses — and merges them into the destination inboxes
 // with a second streaming pass. All word-level work happens in
 // hot-region buffers at O(1) addresses; everything else is block
 // transfer. The space the sort needs (the paper's L(i_s)) is created
@@ -183,8 +183,8 @@ const directDeliveryMaxBlocks = 8
 // deliverDirect performs the message exchange by direct word access for
 // a cluster of n <= directDeliveryMaxBlocks blocks packed at the top:
 // every touched address is below n·µ = O(µ), so each access costs O(1).
-// The discipline matches dbsp.Deliver: clear inboxes, deliver in
-// ascending sender order, clear outboxes.
+// The discipline matches the dbsp engine's exchange: clear inboxes,
+// deliver in ascending sender order, clear outboxes.
 func (st *state) deliverDirect(n int64, lo int) {
 	mu := st.mu
 	l := st.layout

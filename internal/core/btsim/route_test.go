@@ -106,17 +106,17 @@ func TestRouteDeliveryCheaper(t *testing.T) {
 }
 
 func TestNativeVerifiesTransposeDeclaration(t *testing.T) {
-	// A lying declaration must be rejected by the native engine.
+	// A lying declaration must be rejected by the dbsp engine.
 	prog := transposeProg(64, 8, 8)
 	prog.Steps[0].Transpose = &dbsp.TransposeRoute{M1: 4, M2: 16} // wrong shape
 	if _, err := dbsp.Run(prog, cost.Log{}); err == nil {
-		t.Fatal("native engine accepted a wrong transpose declaration")
+		t.Fatal("dbsp engine accepted a wrong transpose declaration")
 	}
 	// A declaration whose size does not match any tiling is also rejected.
 	prog2 := transposeProg(64, 8, 8)
 	prog2.Steps[0].Transpose = &dbsp.TransposeRoute{M1: 8, M2: 4}
 	if _, err := dbsp.Run(prog2, cost.Log{}); err == nil {
-		t.Fatal("native engine accepted a mis-sized transpose declaration")
+		t.Fatal("dbsp engine accepted a mis-sized transpose declaration")
 	}
 }
 

@@ -13,11 +13,11 @@
 //     optimal Θ(v/v′) slowdown.
 //
 // Programs are written against internal/dbsp (supersteps, cluster
-// labels, message-passing contexts) and can be executed natively with
-// goroutine-parallel supersteps (dbsp.Run), on the sharded big-v
-// engine (dbsp.RunSharded), or passed to any of the simulators below;
-// final processor contexts are bit-identical across all five execution
-// paths.
+// labels, message-passing contexts) and can be executed natively on
+// the sharded engine (dbsp.Run, or dbsp.RunSharded at an explicit
+// shard count), or passed to any of the simulators below; final
+// processor contexts are bit-identical across the engine at every
+// shard count and all three simulators.
 package core
 
 import (

@@ -11,10 +11,10 @@ import (
 )
 
 // The central integration property of the repository: for every
-// case-study algorithm, all five execution paths — the native
-// goroutine-parallel D-BSP engine, the sharded big-v engine, the HMM
-// simulation, the BT simulation and the D-BSP self-simulation —
-// produce bit-identical final processor contexts.
+// case-study algorithm, every execution path — the D-BSP engine at one
+// shard and at three (which must also agree on every per-step τ, h and
+// charged cost), the HMM simulation, the BT simulation and the D-BSP
+// self-simulation — produces bit-identical final processor contexts.
 func TestAllPathsAgree(t *testing.T) {
 	mat := workload.Matrix(1, 4, 8)
 	matB := workload.Matrix(2, 4, 8)
@@ -33,14 +33,15 @@ func TestAllPathsAgree(t *testing.T) {
 	}
 	f := cost.Poly{Alpha: 0.5}
 	for _, prog := range progs {
-		native, err := dbsp.Run(prog, f)
+		ref, err := dbsp.RunSharded(prog, f, 1)
 		if err != nil {
-			t.Fatalf("%s native: %v", prog.Name, err)
+			t.Fatalf("%s one shard: %v", prog.Name, err)
 		}
 		sh, err := dbsp.RunSharded(prog, f, 3)
 		if err != nil {
 			t.Fatalf("%s sharded: %v", prog.Name, err)
 		}
+		requireShardedAgrees(t, prog.Name, 3, ref, sh)
 		h, err := OnHMM(prog, f)
 		if err != nil {
 			t.Fatalf("%s hmm: %v", prog.Name, err)
@@ -53,17 +54,14 @@ func TestAllPathsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s selfsim: %v", prog.Name, err)
 		}
-		for p := range native.Contexts {
-			if !reflect.DeepEqual(native.Contexts[p], sh.Contexts[p]) {
-				t.Fatalf("%s: sharded engine diverged at proc %d", prog.Name, p)
-			}
-			if !reflect.DeepEqual(native.Contexts[p], h.Contexts[p]) {
+		for p := range ref.Contexts {
+			if !reflect.DeepEqual(ref.Contexts[p], h.Contexts[p]) {
 				t.Fatalf("%s: HMM simulation diverged at proc %d", prog.Name, p)
 			}
-			if !reflect.DeepEqual(native.Contexts[p], b.Contexts[p]) {
+			if !reflect.DeepEqual(ref.Contexts[p], b.Contexts[p]) {
 				t.Fatalf("%s: BT simulation diverged at proc %d", prog.Name, p)
 			}
-			if !reflect.DeepEqual(native.Contexts[p], s.Contexts[p]) {
+			if !reflect.DeepEqual(ref.Contexts[p], s.Contexts[p]) {
 				t.Fatalf("%s: self-simulation diverged at proc %d", prog.Name, p)
 			}
 		}

@@ -413,8 +413,8 @@ func (st *state) simulateStep(s, lo, csize int) {
 		}
 		mark = now
 	}
-	// Message exchange. First clear the inbox counts (native Deliver
-	// semantics), then scan outboxes in ascending processor order and
+	// Message exchange. First clear the inbox counts (the dbsp
+	// engine's delivery semantics), then scan outboxes in ascending processor order and
 	// deliver each message by direct addressing — by Invariant 2 the
 	// context of processor q sits in block q-lo.
 	for k := 0; k < csize; k++ {

@@ -3,8 +3,8 @@ package dbsp
 import "fmt"
 
 // Layout fixes how a processor's µ-word context is arranged. The same
-// layout is used by the native engine (contexts in Go slices) and by
-// the sequential simulators (contexts as µ-word blocks of HMM/BT
+// layout is used by the engine (contexts in Go slices) and by the
+// sequential simulators (contexts as µ-word blocks of HMM/BT
 // memory), so that a handler's Load/Store/Send/Recv operations have
 // identical semantics everywhere. Message buffers are part of the
 // context, as the model prescribes ("buffers for incoming and outgoing
@@ -55,7 +55,7 @@ func (l Layout) Validate() error {
 }
 
 // Store abstracts the word storage a context lives in, so the same
-// context logic runs over a Go slice (native engine), an HMM machine
+// context logic runs over a Go slice (the engine), an HMM machine
 // (hmmsim), a BT machine (btsim) or an HMM memory module (selfsim).
 // Implementations charge their own model costs per operation. Offsets
 // are context-relative: [0, µ).
@@ -68,8 +68,8 @@ type Store interface {
 	Work(n int64)
 }
 
-// sliceStore is the native engine's store: a context slice plus an
-// operation counter that measures τ, the local computation time.
+// sliceStore is the engine's store: a context slice plus an operation
+// counter that measures τ, the local computation time.
 type sliceStore struct {
 	mem []Word
 	ops int64
@@ -89,7 +89,9 @@ func NewCtx(st Store, layout Layout, id, v, label int) *Ctx {
 // Ctx is the view a superstep handler has of its processor: local
 // memory plus message primitives. Handlers must be deterministic
 // functions of the context contents — the sequential simulators
-// re-execute them processor by processor in cluster-schedule order.
+// re-execute them processor by processor in cluster-schedule order. A
+// Ctx is valid only for the handler call it is passed to: the engine
+// reuses one Ctx for every processor of a shard.
 type Ctx struct {
 	st     Store
 	layout Layout
@@ -158,7 +160,7 @@ func (c *Ctx) NumRecv() int { return int(c.st.Load(c.layout.InCountOff())) }
 
 // Recv returns received message k: its sender and payload. Messages are
 // ordered by ascending sender id (and send order within a sender) —
-// identical in the native engine and in every simulator.
+// identical in the engine and in every simulator.
 func (c *Ctx) Recv(k int) (src int, payload Word) {
 	n := c.NumRecv()
 	if k < 0 || k >= n {

@@ -1,9 +1,50 @@
 package dbsp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// Deliver is the sequential reference for the engine's exchange: it
+// moves every queued outbox message into its destination inbox and
+// returns the h-relation degree, max over processors of max(sent,
+// received). Inboxes are cleared first, messages are delivered in
+// ascending sender order (send order preserved within a sender), and
+// outboxes are cleared afterwards — the discipline the sequential
+// simulators replicate so that final states coincide.
+func Deliver(l Layout, ctxs [][]Word) (h int, err error) {
+	for _, ctx := range ctxs {
+		ctx[l.InCountOff()] = 0
+	}
+	received := make([]int, len(ctxs))
+	for p, ctx := range ctxs {
+		sent := int(ctx[l.OutCountOff()])
+		if sent > h {
+			h = sent
+		}
+		for k := 0; k < sent; k++ {
+			dest := int(ctx[l.OutboxOff(k)])
+			payload := ctx[l.OutboxOff(k)+1]
+			dctx := ctxs[dest]
+			n := int(dctx[l.InCountOff()])
+			if n >= l.MaxMsgs {
+				return 0, fmt.Errorf("inbox overflow at processor %d (MaxMsgs=%d)", dest, l.MaxMsgs)
+			}
+			dctx[l.InboxOff(n)] = Word(p)
+			dctx[l.InboxOff(n)+1] = payload
+			dctx[l.InCountOff()] = Word(n + 1)
+			received[dest]++
+		}
+		ctx[l.OutCountOff()] = 0
+	}
+	for _, r := range received {
+		if r > h {
+			h = r
+		}
+	}
+	return h, nil
+}
 
 // send is a handcrafted outbox entry for deliverCtxs.
 type send struct {
@@ -19,6 +60,15 @@ func deliverCtxs(t *testing.T, l Layout, v int, sends [][]send) [][]Word {
 	ctxs := make([][]Word, v)
 	for p := range ctxs {
 		ctxs[p] = make([]Word, l.Mu())
+	}
+	queueSends(t, l, ctxs, sends)
+	return ctxs
+}
+
+// queueSends writes each processor's sends into its outbox.
+func queueSends(t *testing.T, l Layout, ctxs [][]Word, sends [][]send) {
+	t.Helper()
+	for p := range ctxs {
 		if p >= len(sends) {
 			continue
 		}
@@ -31,7 +81,47 @@ func deliverCtxs(t *testing.T, l Layout, v int, sends [][]send) [][]Word {
 		}
 		ctxs[p][l.OutCountOff()] = Word(len(sends[p]))
 	}
-	return ctxs
+}
+
+// requireExchangeMatchesDeliver runs the same outboxes through Deliver
+// and through the engine's shard exchange at shard counts 1, 2, 3, v
+// and v+7 — so senders and receivers fall on either side of shard
+// boundaries — and requires identical h, error text, inboxes and
+// cleared outboxes. prepare, when set, runs on every fresh context set
+// before the sends are queued (to plant stale inbox state).
+func requireExchangeMatchesDeliver(t *testing.T, l Layout, v int, sends [][]send, prepare func([][]Word)) {
+	t.Helper()
+	ref := deliverCtxs(t, l, v, nil)
+	if prepare != nil {
+		prepare(ref)
+	}
+	queueSends(t, l, ref, sends)
+	wantH, wantErr := Deliver(l, ref)
+	for _, shards := range []int{1, 2, 3, v, v + 7} {
+		e := newShardEngine(&Program{Name: "exchange", V: v, Layout: l}, shards)
+		if prepare != nil {
+			prepare(e.ctxs)
+		}
+		queueSends(t, l, e.ctxs, sends)
+		h, err := e.exchange()
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("shards=%d: exchange error %v, Deliver's %v", shards, err, wantErr)
+		}
+		if wantErr != nil {
+			continue // inboxes are unspecified after an overflow
+		}
+		if h != wantH {
+			t.Errorf("shards=%d: exchange h = %d, Deliver's %d", shards, h, wantH)
+		}
+		for p := 0; p < v; p++ {
+			if got, want := inbox(l, e.ctxs, p), inbox(l, ref, p); !eqInbox(got, want) {
+				t.Errorf("shards=%d proc %d: exchange inbox %v, Deliver's %v", shards, p, got, want)
+			}
+			if n := e.ctxs[p][l.OutCountOff()]; n != 0 {
+				t.Errorf("shards=%d proc %d: outbox not cleared (count %d)", shards, p, n)
+			}
+		}
+	}
 }
 
 // inbox reads back processor p's inbox as delivered (src, payload)
@@ -166,24 +256,39 @@ func TestDeliverEdgeCases(t *testing.T) {
 					t.Errorf("proc %d outbox not cleared (count %d)", p, n)
 				}
 			}
+			requireExchangeMatchesDeliver(t, l, tc.v, tc.sends, nil)
 		})
 	}
 }
 
 // TestDeliverOverflowAtMaxMsgsPlusOne drives one message past the inbox
 // capacity and checks the overflow is rejected with the offending
-// processor named.
+// processor named — by Deliver and, with the same text, by the shard
+// exchange. The second case overflows two inboxes at once: the scan
+// hits processor 1's message to 6 before processor 4's to 2, so 6 is
+// named although 2 < 6, and any shard count that separates the two
+// must reduce its shards' overflows to that same first one.
 func TestDeliverOverflowAtMaxMsgsPlusOne(t *testing.T) {
 	l := Layout{Data: 1, MaxMsgs: 2}
-	// Procs 1 and 2 send 2 each to proc 0: the third delivery hits
-	// n >= MaxMsgs.
-	ctxs := deliverCtxs(t, l, 3, [][]send{nil, {{0, 1}, {0, 2}}, {{0, 3}, {0, 4}}})
-	_, err := Deliver(l, ctxs)
-	if err == nil {
-		t.Fatal("overflow at MaxMsgs+1 not rejected")
-	}
-	if !strings.Contains(err.Error(), "processor 0") || !strings.Contains(err.Error(), "MaxMsgs=2") {
-		t.Errorf("overflow error %q does not name processor and capacity", err)
+	for _, tc := range []struct {
+		v      int
+		sends  [][]send
+		victim string
+	}{
+		// Procs 1 and 2 send 2 each to proc 0: the third delivery hits
+		// n >= MaxMsgs.
+		{3, [][]send{nil, {{0, 1}, {0, 2}}, {{0, 3}, {0, 4}}}, "processor 0"},
+		{8, [][]send{{{6, 1}, {6, 1}}, {{6, 2}}, nil, {{2, 1}, {2, 1}}, {{2, 2}}}, "processor 6"},
+	} {
+		ctxs := deliverCtxs(t, l, tc.v, tc.sends)
+		_, err := Deliver(l, ctxs)
+		if err == nil {
+			t.Fatal("overflow at MaxMsgs+1 not rejected")
+		}
+		if !strings.Contains(err.Error(), tc.victim) || !strings.Contains(err.Error(), "MaxMsgs=2") {
+			t.Errorf("overflow error %q does not name %s and capacity", err, tc.victim)
+		}
+		requireExchangeMatchesDeliver(t, l, tc.v, tc.sends, nil)
 	}
 }
 
@@ -206,4 +311,9 @@ func TestDeliverClearsStaleInbox(t *testing.T) {
 	if n := ctxs[1][l.InCountOff()]; n != 0 {
 		t.Errorf("stale inbox count survived delivery: %d", n)
 	}
+	requireExchangeMatchesDeliver(t, l, 2, nil, func(ctxs [][]Word) {
+		ctxs[1][l.InCountOff()] = 2
+		ctxs[1][l.InboxOff(0)] = 0
+		ctxs[1][l.InboxOff(0)+1] = 99
+	})
 }

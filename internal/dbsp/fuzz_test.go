@@ -6,7 +6,7 @@ import "testing"
 // permutation route: transposing an M1×M2 matrix and then its M2×M1
 // inverse is the identity on every cluster-relative position, and the
 // destination always stays inside the cluster. The BT simulator's
-// riffle routing and the native engine's verification both rely on
+// riffle routing and the engine's verification both rely on
 // Dest being exactly this bijection.
 func FuzzTransposeRouteDest(f *testing.F) {
 	f.Add(uint8(2), uint8(4), uint16(0))

@@ -6,8 +6,8 @@ import (
 )
 
 // StepEvent is the post-delivery view of one executed superstep that
-// RunInspected hands to its inspector: the superstep's identity, its
-// Transpose declaration (if any), the messages the handlers queued
+// RunShardedInspected hands to its inspector: the superstep's identity,
+// its Transpose declaration (if any), the messages the handlers queued
 // before delivery and the messages actually delivered. Dummy
 // supersteps (nil Run) carry no traffic and produce no event.
 type StepEvent struct {
@@ -25,30 +25,15 @@ type StepEvent struct {
 	Received []MessageTrace
 }
 
-// RunInspected executes prog like RunObserved while handing every
-// executed superstep to inspect right after message delivery. When an
-// inspector is set, the engine's own Transpose verification is
-// disabled so the inspector observes declaration violations end-to-end
-// instead of the run aborting first — the runtime invariant checker
-// (internal/invariant) builds on this. A nil inspect behaves exactly
-// like RunObserved.
-func RunInspected(prog *Program, g cost.Func, o *obs.Observer, inspect func(StepEvent)) (*Result, *Trace, error) {
-	return runInspectedLoop(prog, runLoop, g, o, inspect)
-}
-
-// loopFunc is the signature shared by runLoop and the sharded loop
-// closures: one full engine run with pre/post superstep hooks.
-type loopFunc func(prog *Program, g cost.Func,
-	pre func(step, label int, msgs []MessageTrace),
-	post func(step int, st Superstep, ctxs [][]Word)) (*Result, error)
-
-// runInspectedLoop builds the trace/inspect plumbing over any engine
-// loop: the pre hook records the trace, the post hook (when an
-// inspector is set) assembles StepEvents, and a finished run publishes
-// its accounting to the observer. Both RunInspected (native) and
-// RunShardedInspected route through here, so the two engines expose one
-// observation surface.
-func runInspectedLoop(prog *Program, loop loopFunc, g cost.Func, o *obs.Observer, inspect func(StepEvent)) (*Result, *Trace, error) {
+// RunShardedInspected executes prog like RunShardedObserved while
+// handing every executed superstep to inspect right after message
+// delivery. When an inspector is set, the engine's own Transpose
+// verification is disabled so the inspector observes declaration
+// violations end-to-end instead of the run aborting first — the
+// runtime invariant checker (internal/invariant) builds on this. A nil
+// inspect behaves exactly like RunShardedObserved. shards <= 0 selects
+// the default shard count.
+func RunShardedInspected(prog *Program, g cost.Func, shards int, o *obs.Observer, inspect func(StepEvent)) (*Result, *Trace, error) {
 	tr := &Trace{V: prog.V}
 	var sent []MessageTrace
 	pre := func(step, label int, msgs []MessageTrace) {
@@ -63,7 +48,7 @@ func runInspectedLoop(prog *Program, loop loopFunc, g cost.Func, o *obs.Observer
 			sent = nil
 		}
 	}
-	res, err := loop(prog, g, pre, post)
+	res, err := engineLoop(prog, g, shards, pre, post)
 	if err != nil {
 		return nil, nil, err
 	}

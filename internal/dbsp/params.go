@@ -13,9 +13,10 @@
 //
 // The package provides the machine description, the superstep program
 // representation, the processor-context memory layout shared with the
-// sequential simulators, and a goroutine-parallel native execution
-// engine: one goroutine per processor per superstep, barrier at the
-// superstep boundary — the natural Go rendering of bulk synchrony.
+// sequential simulators, and one execution engine that multiplexes the
+// v processors over a few shards — one goroutine per shard per phase,
+// a barrier at each phase boundary — so that, as the paper's Theorem 10
+// has it, v processors run on far fewer physical ones.
 package dbsp
 
 import (

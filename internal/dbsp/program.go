@@ -23,7 +23,7 @@ type Superstep struct {
 	// metadata — handlers still Send normally — but it lets the BT
 	// simulator route messages with block-transfer riffles instead of
 	// sorting (the improved simulation of the paper's Section 6
-	// remark). The native engine verifies the declaration.
+	// remark). The engine verifies the declaration.
 	Transpose *TransposeRoute
 }
 

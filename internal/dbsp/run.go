@@ -2,13 +2,11 @@ package dbsp
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/cost"
 )
 
-// StepCost records the native D-BSP cost of one executed superstep:
+// StepCost records the D-BSP cost of one executed superstep:
 // τ + h·g(µ·v/2^i) (paper Section 2).
 type StepCost struct {
 	// Label is the superstep's cluster label i.
@@ -22,7 +20,7 @@ type StepCost struct {
 	Cost float64
 }
 
-// Result is the outcome of a native D-BSP run.
+// Result is the outcome of a D-BSP run.
 type Result struct {
 	// Cost is the total D-BSP time T: the sum of superstep costs.
 	Cost float64
@@ -56,107 +54,22 @@ func (r *Result) CommCost() float64 {
 
 // NewContexts allocates and initialises the contexts of prog: v blocks
 // of µ zeroed words with Init applied to each data region, all carved
-// from one flat backing slice. Both the native engine and the
-// sequential simulators start from this state; the sharded engine uses
-// the per-shard variant NewContextsSharded over the same chunked
-// allocator, so initial states coincide word for word.
+// from one flat backing slice. The sequential simulators start from
+// this state; the engine uses the per-shard variant NewContextsSharded
+// over the same chunked allocator, so initial states coincide word for
+// word.
 func NewContexts(prog *Program) [][]Word {
 	return newContextsChunked(prog, prog.V)
 }
 
-// Run executes prog natively on a D-BSP(v, µ, g) machine. Execution
-// model: within each superstep the v processor handlers are chunked
-// over GOMAXPROCS worker goroutines (contiguous ranges of processor
-// ids, not one goroutine per processor), a barrier joins the workers,
-// and message delivery happens sequentially at the superstep boundary.
-// It returns the final contexts and the exact model cost. For large v,
-// RunSharded runs the same semantics over per-shard arenas with a
-// parallel two-phase delivery exchange.
+// Run executes prog on a D-BSP(v, µ, g) machine at the default shard
+// count (ShardCount(0, v)): the v processors are multiplexed over
+// per-shard context arenas, a barrier ends each superstep's handler
+// phase, and messages move in a two-phase shard-to-shard exchange (see
+// sharded.go). It returns the final contexts and the exact model cost,
+// which no shard count changes by a single bit.
 func Run(prog *Program, g cost.Func) (*Result, error) {
-	return runHooked(prog, g, nil)
-}
-
-// runStepHooked executes one superstep: handlers in parallel, an
-// optional pre-delivery observer, then delivery. verify controls the
-// engine-side Transpose declaration check; RunInspected disables it so
-// an inspector sees declaration violations instead of an engine error.
-func runStepHooked(prog *Program, ctxs [][]Word, st Superstep, collect func(), verify bool, buf *stepBuffers) (StepCost, error) {
-	sc := StepCost{Label: st.Label}
-	if st.Run == nil {
-		return sc, nil // dummy superstep: no computation, no messages
-	}
-	v := prog.V
-	ops, errs := buf.ops, buf.errs
-	for p := 0; p < v; p++ {
-		ops[p], errs[p] = 0, nil
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > v {
-		workers = v
-	}
-	var wg sync.WaitGroup
-	chunk := (v + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > v {
-			hi = v
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for p := lo; p < hi; p++ {
-				runProc(prog, ctxs, st, p, &ops[p], &errs[p])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-
-	for p, err := range errs {
-		if err != nil {
-			return sc, fmt.Errorf("processor %d: %w", p, err)
-		}
-	}
-	for _, o := range ops {
-		if o > sc.Tau {
-			sc.Tau = o
-		}
-	}
-	if verify && st.Transpose != nil {
-		if err := verifyTranspose(prog, ctxs, st); err != nil {
-			return sc, err
-		}
-	}
-	if collect != nil {
-		collect()
-	}
-	h, err := deliverInto(prog.Layout, ctxs, buf.received)
-	if err != nil {
-		return sc, err
-	}
-	sc.H = h
-	return sc, nil
-}
-
-// stepBuffers holds the per-superstep scratch slices of one engine run.
-// The loop reuses them across supersteps instead of reallocating three
-// slices per superstep, which dominated the engine's allocation profile
-// on small programs.
-type stepBuffers struct {
-	ops      []int64
-	errs     []error
-	received []int
-}
-
-func newStepBuffers(v int) *stepBuffers {
-	return &stepBuffers{
-		ops:      make([]int64, v),
-		errs:     make([]error, v),
-		received: make([]int, v),
-	}
+	return RunSharded(prog, g, 0)
 }
 
 // verifyTranspose checks a Superstep.Transpose declaration against the
@@ -182,65 +95,14 @@ func verifyTranspose(prog *Program, ctxs [][]Word, st Superstep) error {
 	return nil
 }
 
-// runProc executes the handler for one processor, translating model
-// violations (which Ctx reports by panicking) into errors.
-func runProc(prog *Program, ctxs [][]Word, st Superstep, p int, ops *int64, errOut *error) {
+// runProc executes handler run on c, translating model violations
+// (which Ctx reports by panicking) into errors.
+func runProc(run func(*Ctx), c *Ctx) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			*errOut = fmt.Errorf("handler panic: %v", r)
+			err = fmt.Errorf("handler panic: %v", r)
 		}
 	}()
-	sst := &sliceStore{mem: ctxs[p]}
-	c := &Ctx{st: sst, layout: prog.Layout, id: p, v: prog.V, label: st.Label}
-	st.Run(c)
-	*ops = sst.ops
-}
-
-// Deliver moves every queued outbox message into its destination inbox
-// and returns the h-relation degree: max over processors of
-// max(sent, received). Inboxes are cleared first, messages are
-// delivered in ascending sender order (send order preserved within a
-// sender), and outboxes are cleared afterwards — the exact discipline
-// the sequential simulators replicate so that final states coincide.
-func Deliver(l Layout, ctxs [][]Word) (h int, err error) {
-	return deliverInto(l, ctxs, make([]int, len(ctxs)))
-}
-
-// deliverInto is Deliver with a caller-owned received-count buffer
-// (len(ctxs) entries, contents ignored), so the engine loop can reuse
-// one across supersteps.
-func deliverInto(l Layout, ctxs [][]Word, received []int) (h int, err error) {
-	for _, ctx := range ctxs {
-		ctx[l.InCountOff()] = 0
-	}
-	received = received[:len(ctxs)]
-	for i := range received {
-		received[i] = 0
-	}
-	for p, ctx := range ctxs {
-		sent := int(ctx[l.OutCountOff()])
-		if sent > h {
-			h = sent
-		}
-		for k := 0; k < sent; k++ {
-			dest := int(ctx[l.OutboxOff(k)])
-			payload := ctx[l.OutboxOff(k)+1]
-			dctx := ctxs[dest]
-			n := int(dctx[l.InCountOff()])
-			if n >= l.MaxMsgs {
-				return 0, fmt.Errorf("inbox overflow at processor %d (MaxMsgs=%d)", dest, l.MaxMsgs)
-			}
-			dctx[l.InboxOff(n)] = Word(p)
-			dctx[l.InboxOff(n)+1] = payload
-			dctx[l.InCountOff()] = Word(n + 1)
-			received[dest]++
-		}
-		ctx[l.OutCountOff()] = 0
-	}
-	for _, r := range received {
-		if r > h {
-			h = r
-		}
-	}
-	return h, nil
+	run(c)
+	return nil
 }

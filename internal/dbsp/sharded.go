@@ -9,42 +9,51 @@ import (
 	"repro/internal/obs"
 )
 
-// The sharded engine executes the same D-BSP semantics as Run while
-// scaling to very large v (2^20 processors and beyond): processors are
-// lightweight contexts multiplexed over a small number of shards, each
-// shard owning a contiguous range of processor ids backed by its own
-// arena. Per superstep the engine runs two barriers — handlers, then a
-// two-phase shard-to-shard message exchange — and accumulates τ and
-// errors shard-locally instead of in per-processor slices.
+// The engine executes a D-BSP program by multiplexing its v
+// processors — lightweight contexts — over a few shards, each shard
+// owning a contiguous range of processor ids backed by its own arena.
+// Per superstep it runs three barriers — handlers, then a two-phase
+// shard-to-shard message exchange — and accumulates τ and errors
+// shard-locally instead of in per-processor slices. One shard runs
+// inline on the caller's goroutine, so the default count (ShardCount)
+// gives small machines a sequential loop and spreads big ones over
+// GOMAXPROCS shards.
 //
-// Bit-identity with the native engine is by construction, not by
+// No shard count changes a result, by construction rather than by
 // tolerance: τ is a max over per-processor int64 ops (order
 // independent), h is a max over per-processor int sent/received counts
 // (order independent), errors reduce to the lowest processor id
 // (shards own ascending contiguous ranges, so the ascending-shard
-// reduction finds the same processor the native ascending-p scan
-// does), and the only floating-point arithmetic — the cost fold
+// reduction finds the processor an ascending scan of all v would), and
+// the exchange fills every inbox in the sequential discipline the
+// simulators replicate — ascending sender, send order kept within a
+// sender. The only floating-point arithmetic — the cost fold
 // sc.Cost = float64(Tau) + float64(H)·g(µ·v/2^i) accumulated in step
-// order — lives in engineLoop, shared verbatim by both engines.
-// Engines that agree on every integer therefore agree on every charged
-// float64, bit for bit. The five-way differential fuzz test in
-// internal/core enforces this.
+// order — lives once in engineLoop. Runs that agree on every integer
+// therefore agree on every charged float64, bit for bit. The tests
+// hold the exchange to a sequential reference delivery and the
+// differential fuzz test in internal/core holds every shard count to a
+// one-shard run and to the three simulators.
 
-// ShardCount resolves a requested shard count for a v-processor run:
-// values <= 0 select GOMAXPROCS (the default), and the result is
-// clamped to [1, v] so shards > v degrades to one processor per shard
-// rather than empty shards.
+// minShardProcs is the fewest processors a shard gets at the default
+// shard count. Every superstep fans each shard out three times
+// (handlers, then both exchange phases); below this many processors
+// per shard those fan-outs cost more than the handler work they
+// spread. Measured on a 2-vCPU host (DESIGN.md §11). It stays at most
+// 2^16 so a 2^17-processor machine still splits over two shards.
+const minShardProcs = 1 << 12
+
+// ShardCount resolves a requested shard count for a v-processor run.
+// Values <= 0 select the default: one shard per minShardProcs
+// processors, at most GOMAXPROCS — so a machine smaller than
+// 2·minShardProcs is one inline shard. The result is clamped to
+// [1, v], so shards > v degrades to one processor per shard rather
+// than empty shards.
 func ShardCount(shards, v int) int {
 	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
+		shards = min(runtime.GOMAXPROCS(0), v/minShardProcs)
 	}
-	if shards > v {
-		shards = v
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return shards
+	return max(1, min(shards, v))
 }
 
 // newContextsChunked allocates the v contexts of prog in arenas of at
@@ -89,9 +98,9 @@ type overflow struct {
 	src, idx, dest int
 }
 
-// shardEngine is the per-run state of a sharded execution: the context
-// arenas plus shard-local accumulators reused across supersteps. Shard
-// s owns processors [s·chunk, min((s+1)·chunk, v)).
+// shardEngine is the per-run state of an execution: the context arenas
+// plus shard-local accumulators reused across supersteps. Shard s owns
+// processors [s·chunk, min((s+1)·chunk, v)).
 type shardEngine struct {
 	prog   *Program
 	ctxs   [][]Word
@@ -100,9 +109,8 @@ type shardEngine struct {
 
 	// Handler-phase accumulators, one entry per shard: the shard's τ
 	// (max ops over its processors), its first handler error and the
-	// processor that raised it. These replace the native engine's
-	// per-processor ops/errs slices — O(shards), not O(v), reduced
-	// after the barrier.
+	// processor that raised it. O(shards), not O(v), reduced after the
+	// barrier.
 	taus     []int64
 	errs     []error
 	errProcs []int
@@ -116,8 +124,9 @@ type shardEngine struct {
 	// flat (src, idx, dest, payload) records in ascending (src, idx)
 	// order, reused across supersteps via [:0]. idx is the message's
 	// send index within its sender's outbox — with src it ranks
-	// messages in the native engine's global delivery-scan order, which
-	// is what makes cross-shard overflow reporting exact.
+	// messages in the global delivery-scan order (ascending sender, then
+	// send order), which is what makes cross-shard overflow reporting
+	// exact.
 	out [][][]Word
 }
 
@@ -152,8 +161,8 @@ func (e *shardEngine) span(s int) (lo, hi int) {
 }
 
 // parallel runs fn once per shard and barriers. One shard runs inline
-// — the sharded engine at shards=1 is a sequential loop with zero
-// goroutine overhead.
+// — the engine at shards=1 is a sequential loop with zero goroutine
+// overhead.
 func (e *shardEngine) parallel(fn func(s int)) {
 	if e.shards == 1 {
 		fn(0)
@@ -172,7 +181,7 @@ func (e *shardEngine) parallel(fn func(s int)) {
 
 // runStep executes one superstep: handlers in parallel over shards,
 // the optional Transpose verification and pre-delivery observer, then
-// the two-phase exchange. The stepFunc of the sharded engine.
+// the two-phase exchange.
 func (e *shardEngine) runStep(st Superstep, collect func(), verify bool) (StepCost, error) {
 	sc := StepCost{Label: st.Label}
 	if st.Run == nil {
@@ -181,29 +190,32 @@ func (e *shardEngine) runStep(st Superstep, collect func(), verify bool) (StepCo
 
 	// Phase 1: handlers. Each shard walks its processors in ascending
 	// order, folding ops into a shard-local max and keeping only the
-	// first error — the hot loop touches no shared slice.
+	// first error — the hot loop touches no shared slice. One store and
+	// one Ctx serve all of the shard's processors, reset per processor:
+	// a handler cannot keep its Ctx (stepconfine rejects a Run closure
+	// that writes a captured variable), so the reuse is unobservable and
+	// saves two heap objects per processor per superstep.
 	e.parallel(func(s int) {
 		lo, hi := e.span(s)
+		store := &sliceStore{}
+		c := &Ctx{st: store, layout: e.prog.Layout, v: e.prog.V, label: st.Label}
 		var tau int64
 		e.errs[s] = nil
 		for p := lo; p < hi; p++ {
-			var ops int64
-			var err error
-			runProc(e.prog, e.ctxs, st, p, &ops, &err)
-			if err != nil {
+			store.mem, store.ops, c.id = e.ctxs[p], 0, p
+			if err := runProc(st.Run, c); err != nil {
 				e.errs[s], e.errProcs[s] = err, p
 				return
 			}
-			tau = max(tau, ops)
+			tau = max(tau, store.ops)
 		}
 		e.taus[s] = tau
 	})
 	for s := 0; s < e.shards; s++ {
 		if err := e.errs[s]; err != nil {
 			// Ascending shards own ascending processor ranges, so the
-			// first erroring shard holds the lowest erroring processor
-			// — the same one the native engine's ascending-p scan
-			// reports.
+			// first erroring shard holds the lowest erroring
+			// processor, whatever the shard count.
 			return sc, fmt.Errorf("processor %d: %w", e.errProcs[s], err)
 		}
 		sc.Tau = max(sc.Tau, e.taus[s])
@@ -230,13 +242,13 @@ func (e *shardEngine) runStep(st Superstep, collect func(), verify bool) (StepCo
 // shard clears its own inbox counts, drains its own outboxes into
 // per-destination-shard buckets and clears the outbox counts. Phase B:
 // every shard appends its incoming buckets — ascending source shard,
-// which restores the native engine's global ascending-(sender, send
-// index) delivery order restricted to this shard — into its own
-// inboxes. Each phase writes only shard-owned state, so both
-// parallelise freely; the barrier between them is the only
-// synchronisation. h and the overflow report reduce afterwards to
-// exactly the native Deliver results (see the bit-identity argument at
-// the top of the file).
+// which restores the global ascending-(sender, send index) delivery
+// order restricted to this shard — into its own inboxes. Each phase
+// writes only shard-owned state, so both parallelise freely; the
+// barrier between them is the only synchronisation. h and the overflow
+// report reduce afterwards to exactly what one sequential scan of all
+// v outboxes produces (see the bit-identity argument at the top of the
+// file).
 func (e *shardEngine) exchange() (h int, err error) {
 	e.parallel(e.collectShard)
 	e.parallel(e.deliverShard)
@@ -258,7 +270,7 @@ func (e *shardEngine) exchange() (h int, err error) {
 		// messages (in the global scan order) target the same
 		// processor — never on messages to other processors — so the
 		// minimal-(src, idx) overflow across shards is precisely the
-		// one the native sequential scan hits first.
+		// one a sequential scan hits first.
 		return 0, fmt.Errorf("inbox overflow at processor %d (MaxMsgs=%d)", first.dest, e.prog.Layout.MaxMsgs)
 	}
 	return h, nil
@@ -296,8 +308,8 @@ func (e *shardEngine) collectShard(s int) {
 // bucket into the shard's inboxes. Source shards are walked in
 // ascending order and each bucket is already in ascending (src, idx)
 // order, so the concatenated stream is sorted by (src, idx) — the
-// native delivery order restricted to this shard's processors. On the
-// first overflow the shard records the offender and stops; the
+// sequential delivery order restricted to this shard's processors. On
+// the first overflow the shard records the offender and stops; the
 // cross-shard reduction in exchange picks the global first.
 func (e *shardEngine) deliverShard(d int) {
 	l := e.prog.Layout
@@ -326,43 +338,20 @@ func (e *shardEngine) deliverShard(d int) {
 	e.recvMax[d] = maxRecv
 }
 
-// RunSharded executes prog on the sharded engine with the given shard
-// count (<= 0 selects GOMAXPROCS; counts above v clamp to v). The
-// result — final contexts, per-step costs, total cost, error text — is
-// bit-identical to Run's; only the execution strategy differs. See the
-// package-level engine comparison on Run.
+// RunSharded executes prog at the given shard count (<= 0 selects the
+// default, see ShardCount; counts above v clamp to v). The result —
+// final contexts, per-step costs, total cost, error text — is
+// bit-identical at every shard count; only the execution strategy
+// differs.
 func RunSharded(prog *Program, g cost.Func, shards int) (*Result, error) {
-	return runShardedLoop(prog, g, shards, nil, nil)
+	return engineLoop(prog, g, shards, nil, nil)
 }
 
-// runShardedLoop is the sharded engine's loop, sharing engineLoop (and
-// therefore the entire cost fold and hook surface) with the native
-// engine.
-func runShardedLoop(prog *Program, g cost.Func, shards int,
-	pre func(step, label int, msgs []MessageTrace),
-	post func(step int, st Superstep, ctxs [][]Word)) (*Result, error) {
-	return engineLoop(prog, g, func() ([][]Word, stepFunc) {
-		e := newShardEngine(prog, shards)
-		return e.ctxs, e.runStep
-	}, pre, post)
-}
-
-// RunShardedObserved is RunObserved on the sharded engine: it records
-// the full message trace and, when o is non-nil, publishes the run's
-// accounting. Note the trace snapshot is O(messages) per superstep —
-// at very large v prefer RunSharded unless the trace is needed.
+// RunShardedObserved is RunObserved at the given shard count: it
+// records the full message trace and, when o is non-nil, publishes the
+// run's accounting. Note the trace snapshot is O(messages) per
+// superstep — at very large v prefer RunSharded unless the trace is
+// needed.
 func RunShardedObserved(prog *Program, g cost.Func, shards int, o *obs.Observer) (*Result, *Trace, error) {
 	return RunShardedInspected(prog, g, shards, o, nil)
-}
-
-// RunShardedInspected is RunInspected on the sharded engine: the same
-// StepEvent stream, observer accounting and disabled engine-side
-// Transpose verification, produced by the sharded execution strategy.
-func RunShardedInspected(prog *Program, g cost.Func, shards int, o *obs.Observer, inspect func(StepEvent)) (*Result, *Trace, error) {
-	loop := func(prog *Program, g cost.Func,
-		pre func(step, label int, msgs []MessageTrace),
-		post func(step int, st Superstep, ctxs [][]Word)) (*Result, error) {
-		return runShardedLoop(prog, g, shards, pre, post)
-	}
-	return runInspectedLoop(prog, loop, g, o, inspect)
 }

@@ -2,8 +2,10 @@ package dbsp
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cost"
@@ -53,65 +55,74 @@ func shardProg(v, steps int) *Program {
 // requireIdentical asserts two results agree bit-for-bit: contexts word
 // by word, per-step integer costs, and every charged float64 compared
 // by Float64bits, not tolerance.
-func requireIdentical(t *testing.T, native, sharded *Result) {
+func requireIdentical(t *testing.T, ref, got *Result) {
 	t.Helper()
-	if len(native.Steps) != len(sharded.Steps) {
-		t.Fatalf("step counts differ: native %d, sharded %d", len(native.Steps), len(sharded.Steps))
+	if len(ref.Steps) != len(got.Steps) {
+		t.Fatalf("step counts differ: reference %d, got %d", len(ref.Steps), len(got.Steps))
 	}
-	for i := range native.Steps {
-		n, s := native.Steps[i], sharded.Steps[i]
-		if n.Label != s.Label || n.Tau != s.Tau || n.H != s.H {
-			t.Fatalf("step %d: native {label %d τ %d h %d}, sharded {label %d τ %d h %d}",
-				i, n.Label, n.Tau, n.H, s.Label, s.Tau, s.H)
+	for i := range ref.Steps {
+		r, g := ref.Steps[i], got.Steps[i]
+		if r.Label != g.Label || r.Tau != g.Tau || r.H != g.H {
+			t.Fatalf("step %d: reference {label %d τ %d h %d}, got {label %d τ %d h %d}",
+				i, r.Label, r.Tau, r.H, g.Label, g.Tau, g.H)
 		}
-		if math.Float64bits(n.Cost) != math.Float64bits(s.Cost) {
-			t.Fatalf("step %d cost bits differ: native %x, sharded %x",
-				i, math.Float64bits(n.Cost), math.Float64bits(s.Cost))
+		if math.Float64bits(r.Cost) != math.Float64bits(g.Cost) {
+			t.Fatalf("step %d cost bits differ: reference %x, got %x",
+				i, math.Float64bits(r.Cost), math.Float64bits(g.Cost))
 		}
 	}
-	if math.Float64bits(native.Cost) != math.Float64bits(sharded.Cost) {
-		t.Fatalf("total cost bits differ: native %x, sharded %x",
-			math.Float64bits(native.Cost), math.Float64bits(sharded.Cost))
+	if math.Float64bits(ref.Cost) != math.Float64bits(got.Cost) {
+		t.Fatalf("total cost bits differ: reference %x, got %x",
+			math.Float64bits(ref.Cost), math.Float64bits(got.Cost))
 	}
-	if native.MaxTau != sharded.MaxTau {
-		t.Fatalf("MaxTau differs: native %d, sharded %d", native.MaxTau, sharded.MaxTau)
+	if ref.MaxTau != got.MaxTau {
+		t.Fatalf("MaxTau differs: reference %d, got %d", ref.MaxTau, got.MaxTau)
 	}
-	if len(native.Contexts) != len(sharded.Contexts) {
-		t.Fatalf("context counts differ: %d vs %d", len(native.Contexts), len(sharded.Contexts))
+	if len(ref.Contexts) != len(got.Contexts) {
+		t.Fatalf("context counts differ: %d vs %d", len(ref.Contexts), len(got.Contexts))
 	}
-	for p := range native.Contexts {
-		for i := range native.Contexts[p] {
-			if native.Contexts[p][i] != sharded.Contexts[p][i] {
-				t.Fatalf("proc %d word %d: native %d, sharded %d",
-					p, i, native.Contexts[p][i], sharded.Contexts[p][i])
+	for p := range ref.Contexts {
+		for i := range ref.Contexts[p] {
+			if ref.Contexts[p][i] != got.Contexts[p][i] {
+				t.Fatalf("proc %d word %d: reference %d, got %d",
+					p, i, ref.Contexts[p][i], got.Contexts[p][i])
 			}
 		}
 	}
 }
 
-// TestRunShardedMatchesNative sweeps shard counts — 1, a divisor of v,
-// a non-divisor (uneven last shard), v itself, shards > v, and the
-// GOMAXPROCS default — and requires bit-identical agreement with the
-// native engine on a program whose sends cross shard boundaries.
-func TestRunShardedMatchesNative(t *testing.T) {
+// TestRunShardedMatchesOneShard sweeps shard counts — a divisor of v, a
+// non-divisor (uneven last shard), v itself, shards > v, and the
+// default through both RunSharded(·, 0) and Run — and requires
+// bit-identical agreement with the one-shard run on a program whose
+// sends cross shard boundaries.
+func TestRunShardedMatchesOneShard(t *testing.T) {
 	for _, v := range []int{1, 2, 8, 64, 128} {
 		prog := shardProg(v, 9)
-		native, err := Run(prog, cost.Poly{Alpha: 0.5})
+		ref, err := RunSharded(prog, cost.Poly{Alpha: 0.5}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 2, 3, 7, v, v + 13, 0} {
-			sharded, err := RunSharded(prog, cost.Poly{Alpha: 0.5}, shards)
+		for _, shards := range []int{2, 3, 7, v, v + 13, 0} {
+			got, err := RunSharded(prog, cost.Poly{Alpha: 0.5}, shards)
 			if err != nil {
 				t.Fatalf("v=%d shards=%d: %v", v, shards, err)
 			}
-			requireIdentical(t, native, sharded)
+			requireIdentical(t, ref, got)
 		}
+		got, err := Run(prog, cost.Poly{Alpha: 0.5})
+		if err != nil {
+			t.Fatalf("v=%d Run: %v", v, err)
+		}
+		requireIdentical(t, ref, got)
 	}
 }
 
-// TestShardCount pins the resolution rules: <= 0 is the GOMAXPROCS
-// default, counts clamp to [1, v].
+// TestShardCount pins the resolution rules: explicit counts clamp to
+// [1, v]; <= 0 derives the default from v — one inline shard below
+// 2·minShardProcs processors, above it one shard per minShardProcs
+// processors up to GOMAXPROCS — which keeps 2^17- and 2^20-processor
+// machines at two shards or more on a host with two CPUs or more.
 func TestShardCount(t *testing.T) {
 	if got := ShardCount(4, 100); got != 4 {
 		t.Errorf("ShardCount(4, 100) = %d, want 4", got)
@@ -124,6 +135,27 @@ func TestShardCount(t *testing.T) {
 	}
 	if got := ShardCount(-3, 1); got != 1 {
 		t.Errorf("ShardCount(-3, 1) = %d, want 1", got)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8, 64} {
+		runtime.GOMAXPROCS(procs)
+		for _, v := range []int{1, 16, 1024, 2*minShardProcs - 1} {
+			if got := ShardCount(0, v); got != 1 {
+				t.Errorf("GOMAXPROCS=%d: ShardCount(0, %d) = %d, want 1 below 2·minShardProcs", procs, v, got)
+			}
+		}
+		for _, v := range []int{2 * minShardProcs, 1 << 17, 1 << 20} {
+			want := min(procs, v/minShardProcs)
+			if got := ShardCount(0, v); got != want {
+				t.Errorf("GOMAXPROCS=%d: ShardCount(0, %d) = %d, want %d", procs, v, got, want)
+			}
+			if got := ShardCount(0, v); got > procs || v/got < minShardProcs {
+				t.Errorf("GOMAXPROCS=%d: ShardCount(0, %d) = %d exceeds GOMAXPROCS or starves a shard", procs, v, got)
+			}
+		}
+		if got, want := ShardCount(0, 1<<17), min(procs, 2); got < want {
+			t.Errorf("GOMAXPROCS=%d: ShardCount(0, 2^17) = %d, want at least %d", procs, got, want)
+		}
 	}
 }
 
@@ -191,7 +223,7 @@ func TestShardedSelfSends(t *testing.T) {
 }
 
 // TestShardedZeroMessageSuperstep: supersteps that send nothing must
-// clear stale inboxes and charge h = 0, exactly like native delivery.
+// clear stale inboxes and charge h = 0, exactly like Deliver.
 func TestShardedZeroMessageSuperstep(t *testing.T) {
 	prog := &Program{
 		Name:   "quiet",
@@ -221,7 +253,7 @@ func TestShardedZeroMessageSuperstep(t *testing.T) {
 
 // TestShardedCrossShardOverflow overflows an inbox from senders in a
 // different shard and checks the error names the overflowing processor
-// — and is byte-identical to the native engine's error, whichever
+// — and is byte-identical to the one-shard run's error, whichever
 // shard count partitions senders from the victim.
 func TestShardedCrossShardOverflow(t *testing.T) {
 	v := 16
@@ -240,28 +272,28 @@ func TestShardedCrossShardOverflow(t *testing.T) {
 			{Label: 0, Run: func(c *Ctx) {}},
 		},
 	}
-	_, nativeErr := Run(prog, cost.Log{})
-	if nativeErr == nil {
-		t.Fatal("native engine accepted an overflowing program")
+	_, refErr := RunSharded(prog, cost.Log{}, 1)
+	if refErr == nil {
+		t.Fatal("one-shard run accepted an overflowing program")
 	}
-	if !strings.Contains(nativeErr.Error(), "inbox overflow at processor 3") {
-		t.Fatalf("native overflow error %q does not name processor 3", nativeErr)
+	if !strings.Contains(refErr.Error(), "inbox overflow at processor 3") {
+		t.Fatalf("one-shard overflow error %q does not name processor 3", refErr)
 	}
-	for _, shards := range []int{1, 2, 4, 16} {
+	for _, shards := range []int{2, 4, 16, 0} {
 		_, err := RunSharded(prog, cost.Log{}, shards)
 		if err == nil {
 			t.Fatalf("shards=%d: overflow not rejected", shards)
 		}
-		if err.Error() != nativeErr.Error() {
-			t.Errorf("shards=%d: error %q, want native's %q", shards, err, nativeErr)
+		if err.Error() != refErr.Error() {
+			t.Errorf("shards=%d: error %q, want the one-shard run's %q", shards, err, refErr)
 		}
 	}
 }
 
 // TestShardedOverflowFirstInScanOrder sets up simultaneous overflows at
 // two processors in different shards; the reported processor must be
-// the one the native sequential scan (ascending sender, send order
-// within sender) hits first.
+// the one the sequential scan of the one-shard run (ascending sender,
+// send order within sender) hits first.
 func TestShardedOverflowFirstInScanOrder(t *testing.T) {
 	v := 8
 	prog := &Program{
@@ -271,7 +303,7 @@ func TestShardedOverflowFirstInScanOrder(t *testing.T) {
 		Steps: []Superstep{
 			{Label: 0, Run: func(c *Ctx) {
 				// Proc 0 fills inbox 6, proc 3 fills inbox 2; procs 1 and
-				// 4 then overflow them. Native scan order hits proc 1's
+				// 4 then overflow them. Scan order hits proc 1's
 				// message (→ 6) before proc 4's (→ 2), so processor 6 is
 				// named even though 2 < 6.
 				switch c.ID() {
@@ -290,21 +322,21 @@ func TestShardedOverflowFirstInScanOrder(t *testing.T) {
 			{Label: 0, Run: func(c *Ctx) {}},
 		},
 	}
-	_, nativeErr := Run(prog, cost.Log{})
-	if nativeErr == nil || !strings.Contains(nativeErr.Error(), "processor 6") {
-		t.Fatalf("native error %v, want overflow at processor 6", nativeErr)
+	_, refErr := RunSharded(prog, cost.Log{}, 1)
+	if refErr == nil || !strings.Contains(refErr.Error(), "processor 6") {
+		t.Fatalf("one-shard error %v, want overflow at processor 6", refErr)
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
+	for _, shards := range []int{2, 4, 8, 0} {
 		_, err := RunSharded(prog, cost.Log{}, shards)
-		if err == nil || err.Error() != nativeErr.Error() {
-			t.Errorf("shards=%d: error %v, want native's %q", shards, err, nativeErr)
+		if err == nil || err.Error() != refErr.Error() {
+			t.Errorf("shards=%d: error %v, want the one-shard run's %q", shards, err, refErr)
 		}
 	}
 }
 
 // TestShardedHandlerErrorLowestProc: when handlers on several shards
-// panic, the sharded engine must report the lowest processor id, like
-// the native ascending scan.
+// panic, the engine must report the lowest processor id, like the
+// one-shard run's ascending scan.
 func TestShardedHandlerErrorLowestProc(t *testing.T) {
 	prog := &Program{
 		Name:   "panicky",
@@ -319,24 +351,24 @@ func TestShardedHandlerErrorLowestProc(t *testing.T) {
 			{Label: 0, Run: func(c *Ctx) {}},
 		},
 	}
-	_, nativeErr := Run(prog, cost.Log{})
-	if nativeErr == nil || !strings.Contains(nativeErr.Error(), "processor 2:") {
-		t.Fatalf("native error %v, want processor 2", nativeErr)
+	_, refErr := RunSharded(prog, cost.Log{}, 1)
+	if refErr == nil || !strings.Contains(refErr.Error(), "processor 2:") {
+		t.Fatalf("one-shard error %v, want processor 2", refErr)
 	}
-	for _, shards := range []int{1, 4, 32} {
+	for _, shards := range []int{4, 32, 0} {
 		_, err := RunSharded(prog, cost.Log{}, shards)
-		if err == nil || err.Error() != nativeErr.Error() {
-			t.Errorf("shards=%d: error %v, want native's %q", shards, err, nativeErr)
+		if err == nil || err.Error() != refErr.Error() {
+			t.Errorf("shards=%d: error %v, want the one-shard run's %q", shards, err, refErr)
 		}
 	}
 }
 
-// TestRunShardedInspected: the sharded engine must expose the same
-// trace/StepEvent surface as the native one — identical message traces
-// and identical registry accounting.
+// TestRunShardedInspected: every shard count must expose the same
+// trace/StepEvent surface as the one-shard run — identical message
+// traces and identical registry accounting.
 func TestRunShardedInspected(t *testing.T) {
 	prog := shardProg(32, 6)
-	nRes, nTr, err := RunObserved(prog, cost.Log{}, nil)
+	nRes, nTr, err := RunShardedObserved(prog, cost.Log{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +398,7 @@ func TestRunShardedInspected(t *testing.T) {
 		}
 		for k := range n.Messages {
 			if n.Messages[k] != s.Messages[k] {
-				t.Fatalf("trace step %d message %d: native %+v, sharded %+v", i, k, n.Messages[k], s.Messages[k])
+				t.Fatalf("trace step %d message %d: one shard %+v, three %+v", i, k, n.Messages[k], s.Messages[k])
 			}
 		}
 	}
@@ -375,11 +407,23 @@ func TestRunShardedInspected(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrencyStress hammers the sharded engine with many
-// shards while a scraper goroutine concurrently snapshots the metrics
-// registry — the obs-under-load pattern `go test -race` must clear.
+// TestShardedConcurrencyStress hammers the engine at explicit shard
+// counts — at v = 512 the default is one inline shard, which races
+// nothing — while a scraper goroutine concurrently snapshots the
+// metrics registry: the obs-under-load pattern `go test -race` must
+// clear. Every handler must run exactly once per processor per
+// superstep, and both runs must agree bit for bit.
 func TestShardedConcurrencyStress(t *testing.T) {
-	prog := shardProg(512, 24)
+	const v, steps = 512, 25 // shardProg(v, 24) closes with a 25th superstep
+	prog := shardProg(v, steps-1)
+	var handlerRuns atomic.Int64
+	for i := range prog.Steps {
+		run := prog.Steps[i].Run
+		prog.Steps[i].Run = func(c *Ctx) {
+			handlerRuns.Add(1)
+			run(c)
+		}
+	}
 	reg := obs.NewRegistry()
 	o := obs.New(reg, obs.NewRingSink(64))
 
@@ -402,9 +446,15 @@ func TestShardedConcurrencyStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := handlerRuns.Load(); got != v*steps {
+		t.Errorf("handler runs at 7 shards = %d, want %d", got, v*steps)
+	}
 	res2, err := RunSharded(prog, cost.Poly{Alpha: 0.5}, 13)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := handlerRuns.Load(); got != 2*v*steps {
+		t.Errorf("handler runs after 13 shards = %d, want %d", got, 2*v*steps)
 	}
 	close(done)
 	wg.Wait()

@@ -44,7 +44,7 @@ func RunTraced(prog *Program, g cost.Func) (*Result, *Trace, error) {
 // message volume, h-relation degrees, the computation/communication
 // cost split, and one "superstep" trace event per executed superstep.
 func RunObserved(prog *Program, g cost.Func, o *obs.Observer) (*Result, *Trace, error) {
-	return RunInspected(prog, g, o, nil)
+	return RunShardedObserved(prog, g, 0, o)
 }
 
 // costPhases is the declared cost partition of a native run: the
@@ -169,47 +169,17 @@ func (t *Trace) FormatHistogram() string {
 	return b.String()
 }
 
-// runHooked is Run with a per-superstep message observer (nil hook =
-// plain Run). The hook receives the outbox contents before delivery, in
-// the delivery order (ascending sender).
-func runHooked(prog *Program, g cost.Func, hook func(step, label int, msgs []MessageTrace)) (*Result, error) {
-	return runLoop(prog, g, hook, nil)
-}
-
-// stepFunc executes one superstep of a run over the engine's contexts:
-// handlers, the engine-side Transpose verification (when verify is
-// set), the pre-delivery collect hook, then message delivery. Both the
-// native and the sharded engine expose their per-superstep work through
-// this signature so one loop — and one hook/inspect surface — drives
-// them all.
-type stepFunc func(st Superstep, collect func(), verify bool) (StepCost, error)
-
-// runLoop is the native engine's loop: GOMAXPROCS-chunked handler
-// execution (runStepHooked) over one flat context arena.
-func runLoop(prog *Program, g cost.Func,
-	pre func(step, label int, msgs []MessageTrace),
-	post func(step int, st Superstep, ctxs [][]Word)) (*Result, error) {
-	return engineLoop(prog, g, func() ([][]Word, stepFunc) {
-		ctxs := NewContexts(prog)
-		buf := newStepBuffers(prog.V)
-		return ctxs, func(st Superstep, collect func(), verify bool) (StepCost, error) {
-			return runStepHooked(prog, ctxs, st, collect, verify, buf)
-		}
-	}, pre, post)
-}
-
-// engineLoop is the loop shared by every execution engine: pre receives
-// each executed superstep's outbox snapshot before delivery, post
-// receives the contexts right after delivery (inboxes still hold the
-// delivered messages). The engine-side Transpose verification is
-// skipped when post is set — an inspector that wants to observe a
-// corrupted route end-to-end validates declarations itself. newEngine
-// builds the engine state (contexts plus step runner) only after the
-// program validates, so Init never runs for a rejected program. The
-// cost fold is engine-independent: each step's Tau and H produce
-// sc.Cost in step order, so engines that agree on the integers agree on
-// every charged float64 bit for bit.
-func engineLoop(prog *Program, g cost.Func, newEngine func() ([][]Word, stepFunc),
+// engineLoop is the loop behind every entry point: pre receives each
+// executed superstep's outbox snapshot before delivery, post receives
+// the contexts right after delivery (inboxes still hold the delivered
+// messages). The engine-side Transpose verification is skipped when
+// post is set — an inspector that wants to observe a corrupted route
+// end-to-end validates declarations itself. The engine state is built
+// only after the program validates, so Init never runs for a rejected
+// program. The cost fold lives here once: each step's Tau and H
+// produce sc.Cost in step order, so runs that agree on the integers
+// agree on every charged float64 bit for bit.
+func engineLoop(prog *Program, g cost.Func, shards int,
 	pre func(step, label int, msgs []MessageTrace),
 	post func(step int, st Superstep, ctxs [][]Word)) (*Result, error) {
 	if err := prog.Validate(); err != nil {
@@ -218,7 +188,8 @@ func engineLoop(prog *Program, g cost.Func, newEngine func() ([][]Word, stepFunc
 	if g == nil {
 		return nil, fmt.Errorf("dbsp: nil bandwidth function")
 	}
-	ctxs, runStep := newEngine()
+	e := newShardEngine(prog, shards)
+	ctxs := e.ctxs
 	res := &Result{Contexts: ctxs}
 	for s, st := range prog.Steps {
 		var collect func()
@@ -228,7 +199,7 @@ func engineLoop(prog *Program, g cost.Func, newEngine func() ([][]Word, stepFunc
 				pre(step, label, collectOutboxes(prog.Layout, ctxs))
 			}
 		}
-		sc, err := runStep(st, collect, post == nil)
+		sc, err := e.runStep(st, collect, post == nil)
 		if err != nil {
 			return nil, fmt.Errorf("dbsp: program %q superstep %d: %w", prog.Name, s, err)
 		}

@@ -11,24 +11,25 @@ import (
 	"repro/internal/sweep"
 )
 
-// E20BigV is the sharded-engine scale demonstration: the engine the
+// E20BigV is the engine's scale demonstration: the engine the
 // ROADMAP's "millions of processors" item asks for. It runs a rotate
 // program at v up to 2^20 under dbsp.RunSharded with fixed shard
-// counts (never GOMAXPROCS — cells must not depend on the host), and
-// on the v range where the native engine also runs it checks every
-// charged float64 and every context word for bit-identity. Shard
-// counts are a pure execution detail, so the cost column is constant
-// down each v block — that invariance is the experiment's claim.
+// counts (never the GOMAXPROCS-derived default — cells must not depend
+// on the host), and on the v range where a reference dbsp.Run (the
+// default shard count) also runs it checks every charged float64 and
+// every context word for bit-identity. Shard counts are a pure
+// execution detail, so the cost column is constant down each v block —
+// that invariance is the experiment's claim.
 //
 // The builder deliberately uses the un-traced RunSharded: a traced run
 // materialises every routed message, which at v = 2^20 is tens of
 // millions of MessageTrace records per superstep sweep.
 func E20BigV(p sweep.Params) *Table {
 	vs := []int{1 << 14, 1 << 17, 1 << 20}
-	nativeCap := 1 << 17 // native comparison range; above it, sharded only
+	refCap := 1 << 17 // dbsp.Run comparison range; above it, fixed counts only
 	if p.Quick {
 		vs = []int{1 << 10, 1 << 14}
-		nativeCap = 1 << 14
+		refCap = 1 << 14
 	}
 	shardCounts := []int{1, 8, 64}
 	t := &Table{
@@ -38,21 +39,22 @@ func E20BigV(p sweep.Params) *Table {
 			"executed by far fewer physical processors than v; the sharded " +
 			"engine multiplexes v contexts over a handful of shards with " +
 			"bit-identical charged costs",
-		Columns: []string{"v", "shards", "supersteps", "T (total cost)", "max h", "vs native"},
+		Columns: []string{"v", "shards", "supersteps", "T (total cost)", "max h", "vs dbsp.Run"},
 		Notes: "Shape holds when the cost column is constant within each v " +
 			"block (shard count is an execution detail, not a model " +
-			"parameter) and every native-range row reads `identical` — " +
-			"contexts, per-step costs and totals compared bit for bit.",
+			"parameter) and every row up to 2^17 reads `identical` — " +
+			"contexts, per-step costs and totals compared bit for bit " +
+			"with dbsp.Run, the engine at its default shard count.",
 	}
 	f := cost.Poly{Alpha: 0.5}
 	for _, v := range vs {
 		logv := dbsp.Log2(v)
 		labels := []int{logv - 1, logv / 2, 0}
-		var native *dbsp.Result
-		if v <= nativeCap {
+		var ref *dbsp.Result
+		if v <= refCap {
 			res, err := dbsp.Run(progtest.Rotate(v, labels...), f)
 			must(err)
-			native = res
+			ref = res
 		}
 		for _, shards := range shardCounts {
 			res, err := dbsp.RunSharded(progtest.Rotate(v, labels...), f, shards)
@@ -61,29 +63,29 @@ func E20BigV(p sweep.Params) *Table {
 			for _, sc := range res.Steps {
 				maxH = max(maxH, sc.H)
 			}
-			vsNative := "-"
-			if native != nil {
-				vsNative = "identical"
-				if math.Float64bits(native.Cost) != math.Float64bits(res.Cost) ||
-					len(native.Steps) != len(res.Steps) {
-					vsNative = "DIVERGED"
+			vsRef := "-"
+			if ref != nil {
+				vsRef = "identical"
+				if math.Float64bits(ref.Cost) != math.Float64bits(res.Cost) ||
+					len(ref.Steps) != len(res.Steps) {
+					vsRef = "DIVERGED"
 				} else {
-					for i := range native.Steps {
-						if native.Steps[i].Tau != res.Steps[i].Tau ||
-							native.Steps[i].H != res.Steps[i].H ||
-							math.Float64bits(native.Steps[i].Cost) != math.Float64bits(res.Steps[i].Cost) {
-							vsNative = "DIVERGED"
+					for i := range ref.Steps {
+						if ref.Steps[i].Tau != res.Steps[i].Tau ||
+							ref.Steps[i].H != res.Steps[i].H ||
+							math.Float64bits(ref.Steps[i].Cost) != math.Float64bits(res.Steps[i].Cost) {
+							vsRef = "DIVERGED"
 							break
 						}
 					}
 				}
-				if vsNative == "identical" && !reflect.DeepEqual(native.Contexts, res.Contexts) {
-					vsNative = "DIVERGED"
+				if vsRef == "identical" && !reflect.DeepEqual(ref.Contexts, res.Contexts) {
+					vsRef = "DIVERGED"
 				}
 			}
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("2^%d", logv), fmt.Sprint(shards),
-				fmt.Sprint(len(res.Steps)), g(res.Cost), fmt.Sprint(maxH), vsNative,
+				fmt.Sprint(len(res.Steps)), g(res.Cost), fmt.Sprint(maxH), vsRef,
 			})
 		}
 	}

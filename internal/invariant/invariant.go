@@ -1,7 +1,7 @@
 // Package invariant is the debug-mode runtime counterpart of the
 // static checks in internal/lint: a per-superstep checker for the
-// simulation invariants the paper's schemes rely on. Wired into a
-// native run through dbsp.RunInspected, it validates after every
+// simulation invariants the paper's schemes rely on. Wired into a run
+// through dbsp.RunShardedInspected, it validates after every
 // superstep's delivery that
 //
 //   - the delivered message multiset equals the sent multiset
@@ -59,8 +59,8 @@ func (v Violation) String() string {
 }
 
 // Checker accumulates violations over a run. Pass its Inspect method
-// to dbsp.RunInspected. A Checker is not safe for concurrent use; the
-// engine calls Inspect sequentially between supersteps.
+// to dbsp.RunShardedInspected. A Checker is not safe for concurrent
+// use; the engine calls Inspect sequentially between supersteps.
 type Checker struct {
 	v          int
 	o          *obs.Observer
@@ -92,8 +92,8 @@ func (c *Checker) Err() error {
 		int64(len(c.violations))+c.truncated, c.violations[0])
 }
 
-// Inspect validates one executed superstep. It is the dbsp.RunInspected
-// inspector.
+// Inspect validates one executed superstep. It is the
+// dbsp.RunShardedInspected inspector.
 func (c *Checker) Inspect(e dbsp.StepEvent) {
 	c.checkDelivery(e)
 	c.checkClusters(e)
@@ -198,19 +198,11 @@ func sortedMessages(msgs []dbsp.MessageTrace) []dbsp.MessageTrace {
 	return out
 }
 
-// Run executes prog natively with the checker attached and returns the
-// run outputs together with the checker. The run itself succeeding
-// does not imply the invariants held — consult Checker.Err.
-func Run(prog *dbsp.Program, g cost.Func, o *obs.Observer) (*dbsp.Result, *dbsp.Trace, *Checker, error) {
-	c := NewChecker(prog.V, o)
-	res, tr, err := dbsp.RunInspected(prog, g, o, c.Inspect)
-	return res, tr, c, err
-}
-
-// RunSharded is Run on the sharded engine (dbsp.RunSharded): the same
-// checker attached to the same StepEvent stream, produced by the
-// sharded execution strategy. shards <= 0 selects the engine default.
-func RunSharded(prog *dbsp.Program, g cost.Func, shards int, o *obs.Observer) (*dbsp.Result, *dbsp.Trace, *Checker, error) {
+// Run executes prog at the given shard count (<= 0 selects the engine
+// default) with the checker attached and returns the run outputs
+// together with the checker. The run itself succeeding does not imply
+// the invariants held — consult Checker.Err.
+func Run(prog *dbsp.Program, g cost.Func, shards int, o *obs.Observer) (*dbsp.Result, *dbsp.Trace, *Checker, error) {
 	c := NewChecker(prog.V, o)
 	res, tr, err := dbsp.RunShardedInspected(prog, g, shards, o, c.Inspect)
 	return res, tr, c, err

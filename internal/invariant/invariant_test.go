@@ -39,7 +39,7 @@ func TestCleanTransposeRun(t *testing.T) {
 	ring := obs.NewRingSink(64)
 	o := obs.New(obs.NewRegistry(), ring)
 
-	res, tr, c, err := Run(prog, cost.Log{}, o)
+	res, tr, c, err := Run(prog, cost.Log{}, 0, o)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -63,8 +63,8 @@ func TestCleanTransposeRun(t *testing.T) {
 // checker: a deliberately wrong TransposeRoute declaration (the
 // handlers route 2×4 but the superstep declares 4×2) must surface as a
 // "transpose" violation. The plain engine would abort the run on the
-// same program; RunInspected bypasses that so the checker observes the
-// corruption end-to-end.
+// same program; the inspected run bypasses that so the checker observes
+// the corruption end-to-end.
 func TestCorruptedTransposeCaught(t *testing.T) {
 	prog := transposeProg(8, 2, 4, 4, 2)
 
@@ -74,7 +74,7 @@ func TestCorruptedTransposeCaught(t *testing.T) {
 
 	ring := obs.NewRingSink(64)
 	o := obs.New(obs.NewRegistry(), ring)
-	_, _, c, err := Run(prog, cost.Log{}, o)
+	_, _, c, err := Run(prog, cost.Log{}, 0, o)
 	if err != nil {
 		t.Fatalf("inspected run aborted instead of recording the violation: %v", err)
 	}
@@ -108,7 +108,7 @@ func TestCorruptedTransposeCaught(t *testing.T) {
 func TestCorruptedTransposeShape(t *testing.T) {
 	// Declaration whose dimensions do not multiply to the cluster size.
 	prog := transposeProg(8, 2, 4, 3, 2)
-	_, _, c, err := Run(prog, cost.Log{}, nil)
+	_, _, c, err := Run(prog, cost.Log{}, 0, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

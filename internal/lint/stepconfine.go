@@ -8,8 +8,8 @@ import (
 
 // StepConfine enforces the state-confinement discipline of superstep
 // handlers: a Superstep.Run closure executes once per processor, and
-// the engines are free to run those executions concurrently (the native
-// engine does, and the sweep engine layers whole runs on top). All
+// the engines are free to run those executions concurrently (the dbsp
+// engine's shards do, and the sweep layers whole runs on top). All
 // per-processor state must therefore live in the processor's own Ctx;
 // a write to a variable captured from the enclosing scope is shared
 // mutable state that races across processors — exactly the class of bug

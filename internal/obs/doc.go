@@ -30,7 +30,7 @@
 //
 // # Metric names
 //
-// Components prefix their metrics: "dbsp." (native engine), "hmm."
+// Components prefix their metrics: "dbsp." (the D-BSP engine), "hmm."
 // (Section 3 simulator), "bt." (Section 5 simulator), "self."
 // (Section 4 self-simulation). Within a component:
 //
@@ -88,7 +88,7 @@
 //	self.cost.place    module time of inbox placement
 //	self.cost.comm     the router term h·g(µv/2^i)
 //
-// cmd/dbsprun -metrics prints the Report for a native run plus all
+// cmd/dbsprun -metrics prints the Report for a D-BSP run plus all
 // three simulations; -trace-out streams the event log as JSONL;
 // -profile captures runtime/pprof CPU and heap profiles.
 package obs
