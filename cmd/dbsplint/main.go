@@ -1,10 +1,12 @@
 // Command dbsplint runs the repo's custom static-analysis suite
 // (internal/lint) over the module: the syntactic convention checks,
-// the dbspvet typed pass that verifies D-BSP program shape and
-// determinism, and the dataflow analyzers (sharesafe, lockdiscipline,
-// snapshotonly, bulkcharge) that prove the concurrency and bulk-charge
-// disciplines over per-function control-flow graphs. Findings print
-// one per line as
+// the dbspvet typed pass that verifies D-BSP program shape, the
+// dataflow analyzers (sharesafe, lockdiscipline, snapshotonly,
+// bulkcharge) that prove the concurrency and bulk-charge disciplines
+// over per-function control-flow graphs, and the interprocedural
+// analyzers (detflow, floatfold) that follow nondeterminism and
+// float64 folds across call chains to the byte-compared outputs.
+// Findings print one per line as
 //
 //	file:line: analyzer: message
 //
@@ -16,8 +18,8 @@
 // -json emits the findings as a JSON array on stdout (an empty run
 // prints "[]"), for editor and tooling integration. -only restricts the
 // run to the named analyzers; -skip runs all but the named ones; the
-// two are mutually exclusive and unknown analyzer names are usage
-// errors (exit 2).
+// two are mutually exclusive, and unknown analyzer names or a selection
+// that leaves nothing to run are usage errors (exit 2).
 //
 // Patterns are directory trees: "./..." (or "dir/...") lints every
 // package under the directory; a plain directory lints that tree too.
@@ -59,8 +61,8 @@ type jsonFinding struct {
 }
 
 // selectAnalyzers applies the -only/-skip filters. Unknown names in
-// either list are usage errors: a typo must not silently run (or skip)
-// nothing.
+// either list, and a selection that leaves no analyzer to run, are
+// usage errors: a typo must not silently run (or skip) nothing.
 func selectAnalyzers(all []*lint.Analyzer, only, skip string) []*lint.Analyzer {
 	if only != "" && skip != "" {
 		usageErr("-only and -skip are mutually exclusive")
@@ -83,27 +85,29 @@ func selectAnalyzers(all []*lint.Analyzer, only, skip string) []*lint.Analyzer {
 		}
 		return set
 	}
+	var selected []*lint.Analyzer
 	switch {
 	case only != "":
 		want := parse("-only", only)
-		var selected []*lint.Analyzer
 		for _, a := range all {
 			if want[a.Name] {
 				selected = append(selected, a)
 			}
 		}
-		return selected
 	case skip != "":
 		drop := parse("-skip", skip)
-		var selected []*lint.Analyzer
 		for _, a := range all {
 			if !drop[a.Name] {
 				selected = append(selected, a)
 			}
 		}
-		return selected
+	default:
+		return all
 	}
-	return all
+	if len(selected) == 0 {
+		usageErr("-only/-skip selects no analyzer (see -list)")
+	}
+	return selected
 }
 
 func main() {

@@ -16,6 +16,10 @@ var (
 	buildErr  error
 )
 
+// roster is the analyzer suite dbsplint must run, in -list order.
+var roster = []string{"nilguard", "panicmsg", "exitdiscipline", "stepshape", "stepconfine", "costcharge",
+	"sharesafe", "lockdiscipline", "snapshotonly", "bulkcharge", "detflow", "floatfold"}
+
 // runSelf builds the dbsplint binary once and executes it in dir (go
 // run does not propagate the child's exit code, which the gate tests
 // assert on).
@@ -72,8 +76,7 @@ func TestFixtureTreeFails(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit %d, want 1:\n%s", code, out)
 	}
-	for _, analyzer := range []string{"nilguard", "panicmsg", "exitdiscipline", "stepshape", "stepconfine", "detseed", "costcharge",
-		"sharesafe", "lockdiscipline", "snapshotonly", "bulkcharge", "detflow", "floatfold"} {
+	for _, analyzer := range roster {
 		if !strings.Contains(out, ": "+analyzer+": ") {
 			t.Errorf("no %s finding in output:\n%s", analyzer, out)
 		}
@@ -106,21 +109,22 @@ func TestListFlag(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out)
 	}
-	for _, analyzer := range []string{"nilguard", "panicmsg", "exitdiscipline", "stepshape", "stepconfine", "detseed", "costcharge",
-		"sharesafe", "lockdiscipline", "snapshotonly", "bulkcharge", "detflow", "floatfold"} {
-		if !strings.Contains(out, analyzer) {
-			t.Errorf("-list missing %s:\n%s", analyzer, out)
-		}
-	}
-	// Every line is "name layer doc": the layer column must name one of
-	// the four framework layers.
+	// Every line is "name layer doc", in roster order: the layer column
+	// must name one of the four framework layers.
 	layers := map[string]bool{"parse": true, "typed": true, "dataflow": true, "interproc": true}
 	seen := map[string]bool{}
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != len(roster) {
+		t.Errorf("-list prints %d analyzers, want %d:\n%s", len(lines), len(roster), out)
+	}
+	for i, line := range lines {
 		fields := strings.Fields(line)
 		if len(fields) < 3 {
 			t.Errorf("-list line %q: want at least name, layer, doc", line)
 			continue
+		}
+		if i < len(roster) && fields[0] != roster[i] {
+			t.Errorf("-list line %d names %s, want %s", i+1, fields[0], roster[i])
 		}
 		if !layers[fields[1]] {
 			t.Errorf("-list line %q: second column %q is not a framework layer", line, fields[1])
@@ -192,7 +196,7 @@ func TestOnlyFilter(t *testing.T) {
 	if !strings.Contains(out, ": stepshape: ") {
 		t.Errorf("no stepshape finding:\n%s", out)
 	}
-	for _, other := range []string{"nilguard", "panicmsg", "detseed", "costcharge", "stepconfine"} {
+	for _, other := range []string{"nilguard", "panicmsg", "detflow", "costcharge", "stepconfine"} {
 		if strings.Contains(out, ": "+other+": ") {
 			t.Errorf("-only stepshape still ran %s:\n%s", other, out)
 		}
@@ -205,11 +209,11 @@ func TestSkipFilter(t *testing.T) {
 		t.Skip("builds and execs the binary")
 	}
 	fixtures := filepath.Join("..", "..", "internal", "lint", "testdata", "src")
-	out, code := runSelf(t, fixtures, "-skip", "stepshape,detseed", "./...")
+	out, code := runSelf(t, fixtures, "-skip", "stepshape,detflow", "./...")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1:\n%s", code, out)
 	}
-	for _, skipped := range []string{"stepshape", "detseed"} {
+	for _, skipped := range []string{"stepshape", "detflow"} {
 		if strings.Contains(out, ": "+skipped+": ") {
 			t.Errorf("-skip still ran %s:\n%s", skipped, out)
 		}
@@ -219,8 +223,9 @@ func TestSkipFilter(t *testing.T) {
 	}
 }
 
-// TestUnknownAnalyzerExitsTwo: a typo in -only or -skip is a usage
-// error, never a silently empty run.
+// TestUnknownAnalyzerExitsTwo: a typo in -only or -skip, or a
+// selection that leaves no analyzer to run, is a usage error, never a
+// silently empty run.
 func TestUnknownAnalyzerExitsTwo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the binary")
@@ -228,7 +233,9 @@ func TestUnknownAnalyzerExitsTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-only", "nosuch", "./..."},
 		{"-skip", "nosuch", "./..."},
-		{"-only", "stepshape", "-skip", "detseed", "./..."},
+		{"-only", "stepshape", "-skip", "detflow", "./..."},
+		{"-only", ",", "./..."},
+		{"-skip", strings.Join(roster, ","), "./..."},
 	} {
 		out, code := runSelf(t, "..", args...)
 		if code != 2 {

@@ -310,7 +310,7 @@ func (st *state) shiftLeft(start, num, by int64) {
 // costPhases is the declared cost partition of a BT simulation: the
 // plain-named bt.cost.<phase> windows partition bt.cost.total, while
 // dotted refinements (deliver.sort, ...) overlap their parent. The obs
-// test sums this list against HostCost and the obspartition analyzer
+// test sums this list against HostCost and the costcharge analyzer
 // cross-checks it against the phase() call sites.
 var costPhases = []string{"pack", "compute", "deliver", "swap", "unpack"}
 

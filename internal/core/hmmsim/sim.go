@@ -228,7 +228,7 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 // costPhases is the declared cost partition of an HMM simulation: the
 // top-level hmm.cost.<phase> counters sum to hmm.cost.total (the
 // initial context load is an uncharged Poke). The obs test sums this
-// list against HostCost and the obspartition analyzer cross-checks it
+// list against HostCost and the costcharge analyzer cross-checks it
 // against the charges below.
 var costPhases = []string{"compute", "deliver", "swap"}
 

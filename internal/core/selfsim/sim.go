@@ -146,7 +146,7 @@ func Simulate(prog *dbsp.Program, g cost.Func, vPrime int, opts *Options) (*Resu
 
 // costPhases is the declared cost partition of a self-simulation: the
 // four self.cost.<phase> counters sum to self.cost.total. The obs test
-// sums this list against HostCost and the obspartition analyzer
+// sums this list against HostCost and the costcharge analyzer
 // cross-checks it against the charges in Simulate.
 var costPhases = []string{"local", "compute", "place", "comm"}
 

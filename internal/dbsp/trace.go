@@ -49,7 +49,7 @@ func RunObserved(prog *Program, g cost.Func, o *obs.Observer) (*Result, *Trace, 
 
 // costPhases is the declared cost partition of a native run: the
 // top-level dbsp.cost.<phase> counters sum to dbsp.cost.total. The
-// observe test sums this list against the total and the obspartition
+// observe test sums this list against the total and the costcharge
 // analyzer cross-checks it against the charges in publishRun.
 var costPhases = []string{"compute", "comm"}
 

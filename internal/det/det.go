@@ -2,8 +2,8 @@
 // byte-identical output contract leans on everywhere a Go map meets an
 // emitter: collect the keys, sort them, iterate the sorted slice. The
 // helpers centralise the collect-then-sort idiom so call sites read as
-// one line and the detflow/detseed analyzers see the sanctioned shape
-// in a single audited place.
+// one line and the detflow analyzer sees the sanctioned shape in a
+// single audited place.
 package det
 
 import (

@@ -1,10 +1,8 @@
 package lint
 
-// DetFlow is the interprocedural taint half of the determinism vet
-// (DESIGN §12). Where detseed flags nondeterminism *sources* used
-// directly in suspicious shapes, detflow follows the value: a taint
-// fact born at a wall-clock read, a global math/rand draw, a map
-// range, or a multi-case select is propagated through assignments,
+// DetFlow is the determinism vet (DESIGN §12). It follows the value:
+// a taint fact born at a wall-clock read, a global math/rand draw, a
+// map range, or a multi-case select is propagated through assignments,
 // expressions, and module call summaries (parameter→result and
 // parameter→sink flow, results carrying callee-internal sources), and
 // reported only when it reaches a determinism sink — printed or

@@ -41,13 +41,12 @@ var goldenWant = []string{
 	`internal/badpanic/badpanic.go:13: panicmsg: panic message "boom with no prefix" must start with the package prefix "badpanic: "`,
 	`internal/badpanic/badpanic.go:16: panicmsg: panic argument must be a "badpanic: "-prefixed message (string literal, "badpanic: " + ..., or fmt.Sprintf/Errorf with a prefixed format); got a value the linter cannot see a prefix in`,
 	`internal/badpanic/badpanic.go:19: panicmsg: panic message "other: wrong prefix %d" must start with the package prefix "badpanic: "`,
-	`internal/badseed/badseed.go:19: directive: malformed //lint:ignore: want "//lint:ignore <analyzer> <reason>" — the reason is mandatory`,
-	"internal/badseed/badseed.go:21: detseed: time.Now in internal/ breaks run-to-run determinism; derive timing-free logic from seeds (or //lint:ignore detseed for pure duration measurement)",
-	"internal/badseed/badseed.go:26: detseed: global rand.Intn draws from the shared process-wide source; use rand.New(rand.NewSource(seed)) with a sweep-derived seed so results are reproducible",
+	`internal/badseed/badseed.go:20: directive: malformed //lint:ignore: want "//lint:ignore <analyzer> <reason>" — the reason is mandatory`,
 	"internal/badseed/badseed.go:38: detflow: value tainted by map-iteration order (badseed.go:37) reaches printed output: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
-	"internal/badseed/badseed.go:38: detseed: printing inside a map range emits lines in randomized iteration order; collect and sort first",
-	"internal/badseed/badseed.go:45: detseed: Send inside a map range: message order follows Go's randomized map iteration; iterate a sorted key slice instead",
-	`internal/badseed/badseed.go:53: detseed: append to "out" inside a map range produces randomized element order; sort it afterwards or iterate sorted keys`,
+	"internal/badseed/badseed.go:45: detflow: value tainted by map-iteration order (badseed.go:44) reaches a dbsp message send: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
+	"internal/badseed/badseed.go:79: detflow: value tainted by a wall-clock reading (badseed.go:21) via Stamp reaches printed output: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
+	"internal/badseed/badseed.go:80: detflow: value tainted by a global math/rand draw (badseed.go:26) via Draw reaches printed output: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
+	"internal/badseed/badseed.go:82: detflow: value tainted by map-iteration order (badseed.go:53) via Keys reaches printed output: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
 	`internal/badshare/badshare.go:32: sharesafe: "jobs" was captured by a goroutine's closure at line 26; writing it afterwards races with the receiving goroutine — hand off a copy, or synchronize before reusing it`,
 	`internal/badshare/badshare.go:40: sharesafe: "buf" was sent over a channel at line 39; writing through it afterwards races with the receiving goroutine — hand off a copy, or synchronize before reusing it`,
 	`internal/badshare/badshare.go:48: sharesafe: "scale" was captured by a closure sent over a channel at line 47; writing it afterwards races with the receiving goroutine — hand off a copy, or synchronize before reusing it`,
@@ -109,13 +108,35 @@ func TestGoldenFixtures(t *testing.T) {
 }
 
 // TestGoldenEveryAnalyzerFires guards the fixture tree itself: each
-// analyzer must have at least one failing case, so removing an
-// analyzer (or silently breaking its Run) cannot pass the suite.
+// analyzer must report at least one fixture line that no other
+// analyzer reports. An analyzer that finds nothing (removed, or its Run
+// silently broken) fails, and so does one whose every seeded bug
+// another analyzer already catches — an analyzer earns its place in
+// the suite with a bug only it flags.
 func TestGoldenEveryAnalyzerFires(t *testing.T) {
-	pkgs := loadFixtures(t)
-	for _, a := range Analyzers() {
-		if n := len(Run(pkgs, []*Analyzer{a})); n == 0 {
-			t.Errorf("analyzer %s finds nothing in the fixture tree", a.Name)
+	analyzers := Analyzers()
+	byLine := map[string]map[string]bool{}
+	for _, f := range Run(loadFixtures(t), analyzers) {
+		if f.Analyzer == "directive" {
+			continue // directive hygiene findings belong to no analyzer
+		}
+		line := fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line)
+		if byLine[line] == nil {
+			byLine[line] = map[string]bool{}
+		}
+		byLine[line][f.Analyzer] = true
+	}
+	own := map[string]bool{}
+	for _, names := range byLine {
+		if len(names) == 1 {
+			for name := range names {
+				own[name] = true
+			}
+		}
+	}
+	for _, a := range analyzers {
+		if !own[a.Name] {
+			t.Errorf("analyzer %s reports no fixture line that no other analyzer reports", a.Name)
 		}
 	}
 }

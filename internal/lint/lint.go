@@ -5,23 +5,27 @@
 // one convention; cmd/dbsplint runs the whole suite over the module
 // and fails CI on any finding.
 //
-// The framework has three layers. The syntactic analyzers (nilguard,
+// The framework has four layers. The syntactic analyzers (nilguard,
 // panicmsg, exitdiscipline) inspect parse trees only — their invariants
 // are purely syntactic disciplines. The dbspvet typed pass (typed.go)
 // adds full go/types information through a custom importer that checks
 // the module's own packages in dependency order from the Load results,
 // resolving out-of-module imports to empty placeholders; the typed
-// analyzers (stepshape, stepconfine, detseed, costcharge) use it to
-// statically prove the paper's Section 2 program discipline, handler
-// state confinement, sweep determinism and the cost-partition identity.
+// analyzers (stepshape, stepconfine, costcharge) use it to statically
+// prove the paper's Section 2 program discipline, handler state
+// confinement and the cost-partition identity.
 // The dataflow layer (cfg.go, dataflow.go) builds per-function
 // control-flow graphs and reaching definitions on top of the typed
 // pass; the dataflow analyzers (sharesafe, lockdiscipline,
 // snapshotonly, bulkcharge) use it for the flow-sensitive concurrency
 // and cost disciplines the sharded engine refactor depends on
-// (DESIGN §10). Everything stays in the standard library, so dbsplint remains
-// dependency-free (go.mod has no requirements) and fast enough to run
-// on every push.
+// (DESIGN §10). The interprocedural layer (callgraph.go, summary.go)
+// builds the module call graph and bottom-up per-function summaries;
+// its analyzers (detflow, floatfold) certify across call chains that no
+// nondeterminism source reaches the byte-compared outputs and that
+// every charged float64 fold is order-fixed (DESIGN §12). Everything
+// stays in the standard library, so dbsplint remains dependency-free
+// (go.mod has no requirements) and fast enough to run on every push.
 //
 // Findings can be suppressed with a justified directive — see
 // directive.go for the //lint:ignore form.
@@ -158,7 +162,6 @@ func Analyzers() []*Analyzer {
 		ExitDiscipline,
 		StepShape,
 		StepConfine,
-		DetSeed,
 		CostCharge,
 		ShareSafe,
 		LockDiscipline,

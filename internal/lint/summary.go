@@ -563,6 +563,13 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 
 	evalCall = func(call *ast.CallExpr) factSet {
 		out := factSet{}
+		// A dbsp message send is a sink whether or not Send resolves to
+		// a module function: delivery order and payloads feed every
+		// later superstep and its charged cost.
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Send" &&
+			isTypeNamed(pkg.Info.TypeOf(sel.X), "internal/dbsp", "Ctx") {
+			sinkArgs(call.Pos(), "a dbsp message send", call.Args)
+		}
 		if tgts := targets[call]; len(tgts) > 0 {
 			for _, t := range tgts {
 				moduleCall(call, t, out)
@@ -591,13 +598,6 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 			case path == "fmt" && (strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint")):
 				sinkArgs(call.Pos(), "printed output", call.Args)
 				markEmits(call.Pos(), "fmt."+name)
-				if fr := orderCtx(); fr != nil && fr.kind == ctxMapRange &&
-					!strings.Contains(pkg.Path, "internal/") {
-					// detseed owns this shape in internal/ packages;
-					// detflow extends it to cmd/* and the rest.
-					reportDet(call.Pos(),
-						"fmt.%s inside a map range emits lines in randomized iteration order; collect and sort first", name)
-				}
 				return out
 			case path == "fmt" && name == "Errorf", path == "errors" && name == "New":
 				sinkArgs(call.Pos(), "an error string (golden files compare these)", call.Args)
@@ -975,6 +975,30 @@ func (ip *Interproc) scanFunc(node *FuncNode, directives []*directive) (*Summary
 	sort.Slice(det, func(i, j int) bool { return det[i].pos < det[j].pos })
 	sort.Slice(fold, func(i, j int) bool { return fold[i].pos < fold[j].pos })
 	return sum, det, fold
+}
+
+// globalRandFuncs are the math/rand and math/rand/v2 package-level
+// functions that draw from the shared global source. Constructors
+// (New, NewSource, NewPCG, NewChaCha8, NewZipf) are the approved
+// deterministic path and are absent.
+var globalRandFuncs = map[string]bool{
+	"Seed": true, "Int": true, "Intn": true, "Int31": true, "Int31n": true,
+	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
+	"Float32": true, "Float64": true, "ExpFloat64": true, "NormFloat64": true,
+	"Perm": true, "Shuffle": true, "Read": true,
+	// v2 spellings
+	"N": true, "IntN": true, "Int32": true, "Int32N": true,
+	"Int64N": true, "UintN": true, "Uint": true, "Uint32N": true, "Uint64N": true,
+}
+
+// isMapRange reports whether the range statement iterates a map.
+func isMapRange(p *Package, rng *ast.RangeStmt) bool {
+	t := p.Info.TypeOf(rng.X)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
 }
 
 func taintSize(taint map[types.Object]factSet) int {

@@ -1,6 +1,7 @@
-// Package badseed is a lint fixture for the detseed analyzer: internal
-// packages must not read the wall clock, draw from the global
-// math/rand source, or emit ordered output from map iteration.
+// Package badseed is a lint fixture for detflow's nondeterminism
+// sources: a wall-clock read, a global math/rand draw, and map
+// iteration order are each flagged where they reach a sink (printed
+// output, a dbsp message send), not where they are read.
 package badseed
 
 import (
@@ -12,16 +13,15 @@ import (
 	"fixture.example/internal/dbsp"
 )
 
-// Stamp reads the wall clock: finding. The directive above it is
-// missing its reason, so it is malformed (a second finding) and
-// suppresses nothing.
-//
-//lint:ignore detseed
+// Stamp reads the wall clock. The directive on the read is missing its
+// reason, so it is malformed (a finding) and suppresses nothing: the
+// print in Report is flagged.
 func Stamp() int64 {
+	//lint:ignore detflow
 	return time.Now().UnixNano()
 }
 
-// Draw uses the global shared source: finding.
+// Draw uses the global shared source: flagged at the print in Report.
 func Draw() int {
 	return rand.Intn(10)
 }
@@ -46,7 +46,8 @@ func Fanout(c *dbsp.Ctx, dests map[int]dbsp.Word) {
 	}
 }
 
-// Keys returns map keys in randomized order: finding.
+// Keys returns map keys in randomized order: flagged at the print in
+// Report.
 func Keys(m map[string]int) []string {
 	var out []string
 	for k := range m {
@@ -65,10 +66,20 @@ func SortedKeys(m map[string]int) []string {
 	return out
 }
 
-// Elapsed measures a duration under a justified exemption: no finding.
+// Elapsed measures a duration under justified source-side exemptions:
+// printing it draws no finding, and neither directive is stale.
 func Elapsed(fn func()) time.Duration {
-	//lint:ignore detseed duration measurement never reaches program output
-	begin := time.Now()
+	begin := time.Now() //lint:ignore detflow duration measurement, reported as run-varying timing and never compared
 	fn()
-	return time.Since(begin)
+	return time.Since(begin) //lint:ignore detflow duration measurement, reported as run-varying timing and never compared
+}
+
+// Report is the caller where every source above reaches output.
+func Report(m map[string]int, seed int64) {
+	fmt.Println(Stamp())
+	fmt.Println(Draw())
+	fmt.Println(DrawSeeded(seed))
+	fmt.Println(Keys(m))
+	fmt.Println(SortedKeys(m))
+	fmt.Println(Elapsed(func() {}))
 }

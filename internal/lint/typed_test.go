@@ -92,7 +92,7 @@ var S = a.Name + "compute"
 // TestTypeCheckFakeImports: an out-of-module import resolves to a
 // placeholder package, but the import reference itself still yields the
 // real path through *types.PkgName — even behind an alias. That is the
-// property detseed's time.Now / rand.Intn detection rests on.
+// property detflow's time.Now / rand.Intn source detection rests on.
 func TestTypeCheckFakeImports(t *testing.T) {
 	pkgs := loadTemp(t, map[string]string{
 		"c/c.go": `package c
@@ -169,52 +169,61 @@ var Recent = 3
 	}
 }
 
-// TestDirectives: a justified //lint:ignore suppresses the finding on
-// its line and the next; a reason-less one is malformed; one that
+// TestDirectives: a justified //lint:ignore on a nondeterminism source
+// suppresses the finding that source would induce at its sink; a
+// reason-less one is malformed and suppresses nothing; one that
 // suppresses nothing is stale.
 func TestDirectives(t *testing.T) {
 	pkgs := loadTemp(t, map[string]string{
 		"internal/e/e.go": `package e
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
-// Stamp is exempted with a recorded justification.
+// Stamp is exempted at its source with a recorded justification.
 func Stamp() int64 {
-	//lint:ignore detseed test fixture justification
+	//lint:ignore detflow test fixture justification
 	return time.Now().UnixNano()
 }
 
-//lint:ignore detseed
 func Bare() int64 {
+	//lint:ignore detflow
 	return time.Now().UnixNano()
 }
 
-//lint:ignore detseed nothing here uses the clock
+//lint:ignore detflow nothing here uses the clock
 func Quiet() int { return 0 }
+
+// Print is the sink both clock reads reach.
+func Print() {
+	fmt.Println(Stamp(), Bare(), Quiet())
+}
 `,
 	})
-	findings := Run(pkgs, []*Analyzer{DetSeed})
+	findings := Run(pkgs, []*Analyzer{DetFlow})
 
 	var got []string
 	for _, f := range findings {
 		got = append(got, f.Analyzer+": "+f.Message)
 	}
-	// Expect: the Bare time.Now finding survives (its directive is
-	// malformed), plus one malformed-directive and one stale-directive
+	// Expect: the Bare clock read reaching Print survives (its directive
+	// is malformed), plus one malformed-directive and one stale-directive
 	// hygiene finding. The Stamp finding must be suppressed.
-	var detseed, malformed, stale int
+	var detflow, malformed, stale int
 	for _, f := range findings {
 		switch {
-		case f.Analyzer == "detseed":
-			detseed++
+		case f.Analyzer == "detflow" && strings.Contains(f.Message, "via Bare"):
+			detflow++
 		case f.Analyzer == "directive" && strings.Contains(f.Message, "malformed"):
 			malformed++
 		case f.Analyzer == "directive" && strings.Contains(f.Message, "stale"):
 			stale++
 		}
 	}
-	if detseed != 1 || malformed != 1 || stale != 1 {
-		t.Errorf("findings:\n  %s\nwant one surviving detseed, one malformed, one stale",
+	if len(findings) != 3 || detflow != 1 || malformed != 1 || stale != 1 {
+		t.Errorf("findings:\n  %s\nwant one surviving detflow (via Bare), one malformed, one stale",
 			strings.Join(got, "\n  "))
 	}
 }

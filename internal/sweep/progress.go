@@ -80,6 +80,7 @@ func NewProgress() *Progress { return &Progress{} }
 // nowLocked returns the tracker-relative wall offset in milliseconds;
 // callers hold p.mu (it reads p.begun).
 func (p *Progress) nowLocked() float64 {
+	//lint:ignore detflow progress offsets feed live gauges and /debug/progress only, never the byte-compared sweep records
 	return float64(time.Since(p.begun)) / float64(time.Millisecond)
 }
 
@@ -90,7 +91,6 @@ func (p *Progress) begin(jobs []Job, workers int, o *obs.Observer) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	//lint:ignore detseed the sweep start time anchors progress offsets only
 	p.begun = time.Now() //lint:ignore detflow progress offsets feed live gauges and /debug/progress only, never the byte-compared sweep records
 	p.jobs = make([]JobProgress, len(jobs))
 	for i, j := range jobs {

@@ -200,7 +200,6 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Outcome, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	//lint:ignore detseed the sweep start anchors Outcome.Start offsets and progress timestamps only, never job results
 	sweepStart := time.Now() //lint:ignore detflow flows only into start_ms, a documented run-varying record field the golden comparison masks
 	opt.Progress.begin(jobs, workers, opt.Obs)
 	defer opt.Progress.finish()
@@ -271,7 +270,6 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Outcome, error) {
 				}
 				started.Inc()
 				opt.Progress.jobRunning(i)
-				//lint:ignore detseed wall-clock capture only feeds Outcome.Start/Wall and the wall_ms histogram, never the byte-identical job results
 				begin := time.Now() //lint:ignore detflow flows only into start_ms/wall_ms, documented run-varying record fields the golden comparison masks
 				out.Start = begin.Sub(sweepStart)
 				val, err := runJob(ctx, job, p)
