@@ -17,8 +17,12 @@ var (
 )
 
 // roster is the analyzer suite dbsplint must run, in -list order.
-var roster = []string{"nilguard", "panicmsg", "exitdiscipline", "stepshape", "stepconfine", "costcharge",
+var roster = []string{"nilguard", "panicmsg", "exitdiscipline", "stepshape", "stepconfine",
 	"sharesafe", "lockdiscipline", "snapshotonly", "bulkcharge", "detflow", "floatfold"}
+
+// moduleRoot is the repository root relative to this package, where
+// "./..." covers the whole module rather than cmd/ alone.
+var moduleRoot = filepath.Join("..", "..")
 
 // runSelf builds the dbsplint binary once and executes it in dir (go
 // run does not propagate the child's exit code, which the gate tests
@@ -54,12 +58,13 @@ func runSelf(t *testing.T, dir string, args ...string) (string, int) {
 }
 
 // TestRepoLintsClean is the CI gate in miniature: dbsplint over the
-// repository's own module must exit 0 with no output.
+// repository's own module, run at the module root, must exit 0 with no
+// output.
 func TestRepoLintsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the binary")
 	}
-	out, code := runSelf(t, "..", "./...")
+	out, code := runSelf(t, moduleRoot, "./...")
 	if code != 0 || strings.TrimSpace(out) != "" {
 		t.Errorf("repo not lint-clean (exit %d):\n%s", code, out)
 	}
@@ -174,7 +179,7 @@ func TestJSONClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the binary")
 	}
-	out, code := runSelf(t, "..", "-json", "./...")
+	out, code := runSelf(t, moduleRoot, "-json", "./...")
 	if code != 0 {
 		t.Fatalf("exit %d, want 0:\n%s", code, out)
 	}
@@ -196,7 +201,7 @@ func TestOnlyFilter(t *testing.T) {
 	if !strings.Contains(out, ": stepshape: ") {
 		t.Errorf("no stepshape finding:\n%s", out)
 	}
-	for _, other := range []string{"nilguard", "panicmsg", "detflow", "costcharge", "stepconfine"} {
+	for _, other := range []string{"nilguard", "panicmsg", "detflow", "bulkcharge", "stepconfine"} {
 		if strings.Contains(out, ": "+other+": ") {
 			t.Errorf("-only stepshape still ran %s:\n%s", other, out)
 		}

@@ -27,7 +27,6 @@ package btsim
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 
 	"repro/internal/bt"
 	"repro/internal/cost"
@@ -104,13 +103,12 @@ type state struct {
 
 	// Observability (nil when Options.Obs is nil; all uses nil-safe).
 	obs           *obs.Observer
+	ledger        *obs.Ledger
 	roundsC       *obs.Counter
 	swapsC        *obs.Counter
 	sortCompsC    *obs.Counter
 	roundsByLabel []*obs.Counter
-	prof          *obs.Profile // span-stack attribution under "bt"
-	labelFrames   []string     // precomputed "label.<l>" profile frames
-	curFrame      string       // current round's label frame ("init" pre-loop)
+	frame         string // profile frame of the round: "init" before the loop
 }
 
 // Simulate runs prog on an f(x)-BT host. The program must end with a
@@ -165,17 +163,19 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 		check:     opts.CheckInvariants,
 		noRoute:   opts.DisableRouteDelivery,
 		directMax: directThreshold(opts.DirectDeliveryMaxBlocks),
+		frame:     "init",
 	}
 	for p := 0; p < v; p++ {
 		st.procOf[p] = p
 		st.posOf[p] = p
 	}
-	// Per-level word-access cost and the block-size profile are
-	// recomputed through the machine's trace hooks so the always-on
-	// accounting pays nothing when observability is off.
-	var levelCost [hmm.DepthBuckets]float64
+	// The block-size profile is recomputed through the machine's trace
+	// hook so the always-on accounting pays nothing when observability
+	// is off.
 	if o := opts.Obs; o != nil {
 		st.obs = o
+		// Each phase registers at its first charge.
+		st.ledger = o.Ledger("bt")
 		st.roundsC = o.Counter("bt.rounds")
 		st.swapsC = o.Counter("bt.swaps")
 		st.sortCompsC = o.Counter("bt.sort.comparisons")
@@ -183,23 +183,10 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 		for l := range st.roundsByLabel {
 			st.roundsByLabel[l] = o.Counter(fmt.Sprintf("bt.rounds.label.%d", l))
 		}
-		// Span-stack attribution: the non-dotted phase() windows folded
-		// per superstep label under "bt;label.<l>;<phase>" (the initial
-		// unpack predates any superstep and folds under "bt;init").
-		st.prof = o.Profile().Scope("bt")
-		if st.prof != nil {
-			st.curFrame = "init"
-			st.labelFrames = make([]string, st.logv+1)
-			for l := range st.labelFrames {
-				st.labelFrames[l] = fmt.Sprintf("label.%d", l)
-			}
-		}
 		blockHist := o.Histogram("bt.blocks.words")
 		m.TraceBlock = func(_, _, b int64) { blockHist.Observe(b) }
-		m.Trace = func(_ hmm.Op, x int64) {
-			levelCost[obs.BucketOf(x)] += f.Cost(x)
-		}
 	}
+	publish := m.Observe(opts.Obs, "bt", st.ledger)
 	// Round-start invariant: memory fully unpacked (Figure 5, line 0).
 	st.phase("unpack", func() { st.unpack(0) })
 
@@ -207,27 +194,14 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 		return nil, err
 	}
 
+	publish()
 	if o := opts.Obs; o != nil {
-		m.Trace, m.TraceBlock = nil, nil
-		ms := m.Stats()
+		m.TraceBlock = nil
 		bs := m.BlockStats()
-		// Copied verbatim so the report's total is exactly HostCost.
-		o.FloatCounter("bt.cost.total").Add(m.Cost())
-		o.Counter("bt.reads").Add(ms.Reads)
-		o.Counter("bt.writes").Add(ms.Writes)
-		o.Counter("bt.computeops").Add(ms.ComputeOps)
 		o.Counter("bt.blocks.copies").Add(bs.Copies)
 		o.Counter("bt.blocks.moved").Add(bs.Words)
 		o.FloatCounter("bt.blocks.cost").Add(bs.Cost)
 		o.Gauge("bt.steps.smoothed").Set(int64(len(run.Steps)))
-		o.Gauge("bt.memory.words").Set(m.Size())
-		for k, n := range ms.Depth {
-			if n == 0 {
-				continue
-			}
-			o.Counter(fmt.Sprintf("bt.level.%d.accesses", k)).Add(n)
-			o.FloatCounter(fmt.Sprintf("bt.level.%d.cost", k)).Add(levelCost[k])
-		}
 	}
 
 	res := &Result{
@@ -307,17 +281,11 @@ func (st *state) shiftLeft(start, num, by int64) {
 	}
 }
 
-// costPhases is the declared cost partition of a BT simulation: the
-// plain-named bt.cost.<phase> windows partition bt.cost.total, while
-// dotted refinements (deliver.sort, ...) overlap their parent. The obs
-// test sums this list against HostCost and the costcharge analyzer
-// cross-checks it against the phase() call sites.
-var costPhases = []string{"pack", "compute", "deliver", "swap", "unpack"}
-
-// phase runs fn inside a cost window attributed to bt.cost.<name>.
-// Dotted names ("deliver.sort") are refinements of their parent phase
-// and overlap its window; plain names partition the total. With no
-// observer the call is a plain function call.
+// phase runs fn inside a cost window charged to the ledger as phase
+// name of the round's frame. Plain names (pack, compute, deliver, swap,
+// unpack) partition the total; dotted names ("deliver.sort") refine
+// their parent phase and overlap its window. With no observer the call
+// is a plain function call.
 func (st *state) phase(name string, fn func()) {
 	if st.obs == nil {
 		fn()
@@ -326,12 +294,7 @@ func (st *state) phase(name string, fn func()) {
 	before := st.m.Cost()
 	fn()
 	delta := st.m.Cost() - before
-	st.obs.FloatCounter("bt.cost." + name).Add(delta)
-	// Only the plain-named windows fold into the profile: dotted
-	// refinements overlap their parent and would double-count stacks.
-	if st.prof != nil && !strings.Contains(name, ".") {
-		st.prof.Add(delta, st.curFrame, name)
-	}
+	st.ledger.Charge(st.frame, name, delta)
 	if st.obs.Tracing() {
 		st.obs.Emit(obs.Event{Sim: "bt", Kind: "phase", Phase: name,
 			Round: st.rounds, Cost: delta})
@@ -370,9 +333,7 @@ func (st *state) loop() error {
 		if st.roundsByLabel != nil {
 			st.roundsByLabel[label].Inc()
 		}
-		if st.labelFrames != nil {
-			st.curFrame = st.labelFrames[label]
-		}
+		st.frame = obs.LabelFrame(label)
 
 		// Step 1.a: pack the top cluster.
 		st.phase("pack", func() { st.pack(label) })

@@ -2,6 +2,7 @@ package hmmsim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
@@ -31,16 +32,16 @@ func TestObservedCostAttribution(t *testing.T) {
 		t.Errorf("hmm.cost.total = %v, want exactly HostCost = %v", got, res.HostCost)
 	}
 
-	// The declared partition sums to the charged cost up to float
-	// rounding: every charged access happens inside one of the
-	// costPhases windows (the initial context load is an uncharged
-	// Poke).
+	// The top-level phases the registry holds partition the charged
+	// cost up to float rounding: every charged access happens inside
+	// exactly one charged window (the initial context load is an
+	// uncharged Poke).
 	var sum float64
-	for _, ph := range costPhases {
-		sum += reg.FloatCounter("hmm.cost." + ph).Value()
+	for _, c := range phaseCosts(reg) {
+		sum += c
 	}
 	if rel := (sum - res.HostCost) / res.HostCost; rel > 1e-9 || rel < -1e-9 {
-		t.Errorf("phase sum %v vs HostCost %v (rel err %v)", sum, res.HostCost, rel)
+		t.Errorf("phase sum %v vs HostCost %v (rel err %v): %v", sum, res.HostCost, rel, phaseCosts(reg))
 	}
 
 	// Counters mirror the Result fields.
@@ -118,17 +119,22 @@ func TestProfileAttributionMatchesPhaseCosts(t *testing.T) {
 	byPhase := make(map[string]float64)
 	var total float64
 	for _, sc := range prof.Folded() {
-		frames := splitStack(sc.Stack)
-		if len(frames) != 4 || frames[0] != "job" || frames[1] != "hmm" {
+		frames := strings.Split(sc.Stack, ";")
+		if len(frames) != 4 || frames[0] != "job" || frames[1] != "hmm" || !strings.HasPrefix(frames[2], "label.") {
 			t.Fatalf("unexpected stack %q", sc.Stack)
 		}
 		byPhase[frames[3]] += sc.Cost
 		total += sc.Cost
 	}
-	for _, ph := range costPhases {
-		want := reg.FloatCounter("hmm.cost." + ph).Value()
+	phases := phaseCosts(reg)
+	for ph, want := range phases {
 		if got := byPhase[ph]; rel(got, want) > 1e-9 {
 			t.Errorf("profile %s = %v, counter = %v", ph, got, want)
+		}
+	}
+	for ph := range byPhase {
+		if _, ok := phases[ph]; !ok {
+			t.Errorf("profile phase %s has no hmm.cost.%s counter", ph, ph)
 		}
 	}
 	if rel(total, res.HostCost) > 1e-9 {
@@ -136,18 +142,15 @@ func TestProfileAttributionMatchesPhaseCosts(t *testing.T) {
 	}
 }
 
-func splitStack(s string) []string {
-	var out []string
-	for len(s) > 0 {
-		i := 0
-		for i < len(s) && s[i] != ';' {
-			i++
+// phaseCosts returns every top-level hmm.cost.<phase> counter the
+// registry holds — what the run registered and charged, not a declared
+// list — keyed by phase.
+func phaseCosts(reg *obs.Registry) map[string]float64 {
+	out := make(map[string]float64)
+	for _, s := range reg.Snapshot() {
+		if ph, ok := strings.CutPrefix(s.Name, "hmm.cost."); ok && ph != "total" && !strings.Contains(ph, ".") {
+			out[ph] = s.Value
 		}
-		out = append(out, s[:i])
-		if i == len(s) {
-			break
-		}
-		s = s[i+1:]
 	}
 	return out
 }

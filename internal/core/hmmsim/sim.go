@@ -108,16 +108,15 @@ type state struct {
 	labelOff int
 	observer func(round int64, step, label int, procOfBlock []int)
 
-	// Observability (all nil-safe; nil when opts.Obs is nil).
+	// Observability (all nil-safe; nil when opts.Obs is nil). The
+	// ledger's phases partition the cost: compute (handler work plus
+	// context accesses), deliver (message exchange) and swap (Figure 2
+	// sibling cycling).
 	obs           *obs.Observer
-	costCompute   *obs.FloatCounter // handler work + context accesses
-	costDeliver   *obs.FloatCounter // message exchange
-	costSwap      *obs.FloatCounter // Figure 2 sibling cycling
+	ledger        *obs.Ledger
 	roundsC       *obs.Counter
 	swapsC        *obs.Counter
 	roundsByLabel []*obs.Counter // rounds executed per superstep label
-	prof          *obs.Profile   // span-stack attribution under "hmm"
-	labelFrames   []string       // precomputed "label.<l>" profile frames
 }
 
 // Simulate runs prog on an f(x)-HMM host, returning the final guest
@@ -173,40 +172,13 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 		m.PokeRange(int64(p)*mu, ctx)
 	}
 
-	// Per-level access cost. The machine's always-on accounting keeps
-	// only access counts per level (Stats.Depth); the per-level cost
-	// split is recomputed through the Trace hook so the charge() hot
-	// path pays nothing when observability is off.
-	var levelCost [hmm.DepthBuckets]float64
-	if opts.Obs != nil {
-		m.Trace = func(_ hmm.Op, x int64) {
-			levelCost[obs.BucketOf(x)] += f.Cost(x)
-		}
-	}
-
 	st := newState(m, run, prog.Layout, opts)
+	publish := m.Observe(opts.Obs, "hmm", st.ledger)
 	if err := st.loop(); err != nil {
 		return nil, err
 	}
-
-	if o := opts.Obs; o != nil {
-		m.Trace = nil
-		ms := m.Stats()
-		// Copied verbatim so the report's total is exactly HostCost.
-		o.FloatCounter("hmm.cost.total").Add(m.Cost())
-		o.Counter("hmm.reads").Add(ms.Reads)
-		o.Counter("hmm.writes").Add(ms.Writes)
-		o.Counter("hmm.computeops").Add(ms.ComputeOps)
-		o.Gauge("hmm.steps.smoothed").Set(int64(len(run.Steps)))
-		o.Gauge("hmm.memory.words").Set(m.Size())
-		for k, n := range ms.Depth {
-			if n == 0 {
-				continue
-			}
-			o.Counter(fmt.Sprintf("hmm.level.%d.accesses", k)).Add(n)
-			o.FloatCounter(fmt.Sprintf("hmm.level.%d.cost", k)).Add(levelCost[k])
-		}
-	}
+	publish()
+	opts.Obs.Gauge("hmm.steps.smoothed").Set(int64(len(run.Steps)))
 
 	res := &Result{
 		Machine:       m,
@@ -225,13 +197,6 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 }
 
 // newState builds the scheduler state over an existing machine.
-// costPhases is the declared cost partition of an HMM simulation: the
-// top-level hmm.cost.<phase> counters sum to hmm.cost.total (the
-// initial context load is an uncharged Poke). The obs test sums this
-// list against HostCost and the costcharge analyzer cross-checks it
-// against the charges below.
-var costPhases = []string{"compute", "deliver", "swap"}
-
 func newState(m *hmm.Machine, run *dbsp.Program, layout dbsp.Layout, opts *Options) *state {
 	globalV := opts.GlobalV
 	if globalV == 0 {
@@ -257,23 +222,12 @@ func newState(m *hmm.Machine, run *dbsp.Program, layout dbsp.Layout, opts *Optio
 		// Resolve every hot-path metric once; the loop then touches
 		// only atomics.
 		st.obs = o
-		st.costCompute = o.FloatCounter("hmm.cost.compute")
-		st.costDeliver = o.FloatCounter("hmm.cost.deliver")
-		st.costSwap = o.FloatCounter("hmm.cost.swap")
+		st.ledger = o.Ledger("hmm", "compute", "deliver", "swap")
 		st.roundsC = o.Counter("hmm.rounds")
 		st.swapsC = o.Counter("hmm.swaps")
 		st.roundsByLabel = make([]*obs.Counter, run.LogV()+1)
 		for l := range st.roundsByLabel {
 			st.roundsByLabel[l] = o.Counter(fmt.Sprintf("hmm.rounds.label.%d", l))
-		}
-		// Span-stack attribution: the same phase deltas charged above,
-		// folded per superstep label under "hmm;label.<l>;<phase>".
-		st.prof = o.Profile().Scope("hmm")
-		if st.prof != nil {
-			st.labelFrames = make([]string, run.LogV()+1)
-			for l := range st.labelFrames {
-				st.labelFrames[l] = fmt.Sprintf("label.%d", l)
-			}
 		}
 	}
 	return st
@@ -389,10 +343,8 @@ func (st *state) loop() error {
 func (st *state) simulateStep(s, lo, csize int) {
 	mu := st.mu
 	l := st.layout
-	var mark float64
-	if st.obs != nil {
-		mark = st.m.Cost()
-	}
+	frame := obs.LabelFrame(st.prog.Steps[s].Label)
+	mark := st.m.Cost()
 	// Local computation. The paper brings each context in turn to the
 	// top of memory; running the handler in place at block k is
 	// equivalent for the Theorem 5 analysis — every access stays within
@@ -405,14 +357,8 @@ func (st *state) simulateStep(s, lo, csize int) {
 		c := dbsp.NewCtx(store, l, q, st.globalV, st.labelOff+st.prog.Steps[s].Label)
 		st.prog.Steps[s].Run(c)
 	}
-	if st.obs != nil {
-		now := st.m.Cost()
-		st.costCompute.Add(now - mark)
-		if st.prof != nil {
-			st.prof.Add(now-mark, st.labelFrames[st.prog.Steps[s].Label], "compute")
-		}
-		mark = now
-	}
+	now := st.m.Cost()
+	st.ledger.Charge(frame, "compute", now-mark)
 	// Message exchange. First clear the inbox counts (the dbsp
 	// engine's delivery semantics), then scan outboxes in ascending processor order and
 	// deliver each message by direct addressing — by Invariant 2 the
@@ -437,13 +383,7 @@ func (st *state) simulateStep(s, lo, csize int) {
 			st.m.Write(base+int64(l.OutCountOff()), 0)
 		}
 	}
-	if st.obs != nil {
-		delta := st.m.Cost() - mark
-		st.costDeliver.Add(delta)
-		if st.prof != nil {
-			st.prof.Add(delta, st.labelFrames[st.prog.Steps[s].Label], "deliver")
-		}
-	}
+	st.ledger.Charge(frame, "deliver", st.m.Cost()-now)
 }
 
 // swapRegions exchanges the csize-block region at the top of memory
@@ -452,10 +392,7 @@ func (st *state) simulateStep(s, lo, csize int) {
 // cycling caused the swap; it scopes the profile attribution only.
 func (st *state) swapRegions(label, r, csize int) {
 	mu := st.mu
-	var mark float64
-	if st.obs != nil {
-		mark = st.m.Cost()
-	}
+	mark := st.m.Cost()
 	st.m.SwapRange(0, int64(r)*int64(csize)*mu, int64(csize)*mu)
 	for k := 0; k < csize; k++ {
 		a, b := k, r*csize+k
@@ -465,13 +402,7 @@ func (st *state) swapRegions(label, r, csize int) {
 	}
 	st.swaps++
 	st.swapsC.Inc()
-	if st.obs != nil {
-		delta := st.m.Cost() - mark
-		st.costSwap.Add(delta)
-		if st.prof != nil {
-			st.prof.Add(delta, st.labelFrames[label], "swap")
-		}
-	}
+	st.ledger.Charge(obs.LabelFrame(label), "swap", st.m.Cost()-mark)
 }
 
 // verifyInvariants checks Invariants 1 and 2 for the round about to

@@ -30,11 +30,11 @@ func TestObservedCostAttribution(t *testing.T) {
 		t.Errorf("self.cost.total = %v, want exactly HostCost = %v", got, res.HostCost)
 	}
 	var sum float64
-	for _, ph := range costPhases {
-		sum += reg.FloatCounter("self.cost." + ph).Value()
+	for _, c := range phaseCosts(reg) {
+		sum += c
 	}
 	if rel := (sum - res.HostCost) / res.HostCost; rel > 1e-9 || rel < -1e-9 {
-		t.Errorf("phase sum %v vs HostCost %v (rel err %v)", sum, res.HostCost, rel)
+		t.Errorf("phase sum %v vs HostCost %v (rel err %v): %v", sum, res.HostCost, rel, phaseCosts(reg))
 	}
 	if got := reg.FloatCounter("self.cost.comm").Value(); got != res.CommCost {
 		t.Errorf("self.cost.comm = %v, want %v", got, res.CommCost)
@@ -111,11 +111,19 @@ func TestProfileAttributionMatchesPhaseCosts(t *testing.T) {
 		if len(frames) != 4 || frames[0] != "job" || frames[1] != "self" {
 			t.Fatalf("unexpected stack %q", sc.Stack)
 		}
+		if frames[2] != "local-run" && !strings.HasPrefix(frames[2], "label.") {
+			t.Fatalf("unexpected label frame in %q", sc.Stack)
+		}
 		byPhase[frames[3]] += sc.Cost
 		total += sc.Cost
 	}
-	for _, ph := range costPhases {
-		want := reg.FloatCounter("self.cost." + ph).Value()
+	phases := phaseCosts(reg)
+	for ph := range byPhase {
+		if _, ok := phases[ph]; !ok {
+			t.Errorf("profile phase %s has no self.cost.%s counter", ph, ph)
+		}
+	}
+	for ph, want := range phases {
 		got := byPhase[ph]
 		if want == 0 {
 			if got != 0 {
@@ -130,4 +138,17 @@ func TestProfileAttributionMatchesPhaseCosts(t *testing.T) {
 	if r := (total - res.HostCost) / res.HostCost; r > 1e-9 || r < -1e-9 {
 		t.Errorf("profile total %v vs HostCost %v", total, res.HostCost)
 	}
+}
+
+// phaseCosts returns every top-level self.cost.<phase> counter the
+// registry holds — what the run registered and charged, not a declared
+// list — keyed by phase.
+func phaseCosts(reg *obs.Registry) map[string]float64 {
+	out := make(map[string]float64)
+	for _, s := range reg.Snapshot() {
+		if ph, ok := strings.CutPrefix(s.Name, "self.cost."); ok && ph != "total" && !strings.Contains(ph, ".") {
+			out[ph] = s.Value
+		}
+	}
+	return out
 }

@@ -90,6 +90,8 @@ func Simulate(prog *dbsp.Program, g cost.Func, vPrime int, opts *Options) (*Resu
 		mu:      int64(prog.Mu()),
 		layout:  prog.Layout,
 		opts:    opts,
+		obs:     opts.Obs,
+		ledger:  opts.Obs.Ledger("self", "local", "compute", "place", "comm"),
 	}
 	s.modules = make([]*hmm.Machine, vPrime)
 	init := dbsp.NewContexts(prog)
@@ -97,22 +99,6 @@ func Simulate(prog *dbsp.Program, g cost.Func, vPrime int, opts *Options) (*Resu
 		s.modules[j] = hmm.New(g, int64(s.perHost)*s.mu)
 		for k := 0; k < s.perHost; k++ {
 			s.modules[j].PokeRange(int64(k)*s.mu, init[j*s.perHost+k])
-		}
-	}
-	if o := opts.Obs; o != nil {
-		s.obs = o
-		s.costLocal = o.FloatCounter("self.cost.local")
-		s.costCompute = o.FloatCounter("self.cost.compute")
-		s.costPlace = o.FloatCounter("self.cost.place")
-		s.costComm = o.FloatCounter("self.cost.comm")
-		// Span-stack attribution: global-step phases fold under
-		// "self;label.<l>;<phase>", local runs under "self;local-run".
-		s.prof = o.Profile().Scope("self")
-		if s.prof != nil {
-			s.labelFrames = make([]string, dbsp.Log2(prog.V)+1)
-			for l := range s.labelFrames {
-				s.labelFrames[l] = fmt.Sprintf("label.%d", l)
-			}
 		}
 	}
 	if err := s.run(); err != nil {
@@ -126,9 +112,8 @@ func Simulate(prog *dbsp.Program, g cost.Func, vPrime int, opts *Options) (*Resu
 		GlobalSteps: s.globalSteps,
 		LocalRuns:   s.localRuns,
 	}
+	s.ledger.Total(res.HostCost)
 	if o := opts.Obs; o != nil {
-		// Copied verbatim so the report's total is exactly HostCost.
-		o.FloatCounter("self.cost.total").Add(res.HostCost)
 		o.Counter("self.global.steps").Add(int64(s.globalSteps))
 		o.Counter("self.local.runs").Add(int64(s.localRuns))
 		o.Gauge("self.v").Set(int64(prog.V))
@@ -143,12 +128,6 @@ func Simulate(prog *dbsp.Program, g cost.Func, vPrime int, opts *Options) (*Resu
 	}
 	return res, nil
 }
-
-// costPhases is the declared cost partition of a self-simulation: the
-// four self.cost.<phase> counters sum to self.cost.total. The obs test
-// sums this list against HostCost and the costcharge analyzer
-// cross-checks it against the charges in Simulate.
-var costPhases = []string{"local", "compute", "place", "comm"}
 
 type sim struct {
 	prog    *dbsp.Program
@@ -167,16 +146,12 @@ type sim struct {
 	localRuns   int
 
 	// Observability (nil-safe; nil when Options.Obs is nil). The four
-	// phase counters partition HostCost: local (module time of local
-	// runs), compute (Phase A of global steps), place (Phase B), comm
-	// (the router term h·g(µ·v/2^i)).
-	obs         *obs.Observer
-	costLocal   *obs.FloatCounter
-	costCompute *obs.FloatCounter
-	costPlace   *obs.FloatCounter
-	costComm    *obs.FloatCounter
-	prof        *obs.Profile // span-stack attribution under "self"
-	labelFrames []string     // precomputed "label.<l>" profile frames
+	// ledger phases partition HostCost: local (module time of local
+	// runs, under the profile frame "local-run"), compute (Phase A of
+	// global steps), place (Phase B) and comm (the router term
+	// h·g(µ·v/2^i)).
+	obs    *obs.Observer
+	ledger *obs.Ledger
 }
 
 // run partitions the program into maximal global/local runs and
@@ -244,10 +219,7 @@ func (s *sim) localRun(steps []dbsp.Superstep, first int) error {
 		}
 	}
 	s.moduleCost += maxDelta
-	s.costLocal.Add(maxDelta)
-	if s.prof != nil {
-		s.prof.Add(maxDelta, "local-run", "local")
-	}
+	s.ledger.Charge("local-run", "local", maxDelta)
 	if s.obs.Tracing() {
 		s.obs.Emit(obs.Event{Sim: "self", Kind: "local-run", Step: first,
 			Label: steps[0].Label, N: int64(len(steps)), Cost: maxDelta})
@@ -271,6 +243,7 @@ func (s *sim) globalStep(st dbsp.Superstep, index int) error {
 	}
 	s.globalSteps++
 	costBefore := s.moduleCost + s.commCost
+	frame := obs.LabelFrame(st.Label)
 	l := s.layout
 	mu := s.mu
 	inbox := make([][]message, s.vPrime)
@@ -307,10 +280,7 @@ func (s *sim) globalStep(st dbsp.Superstep, index int) error {
 		}
 	}
 	s.moduleCost += maxDelta
-	s.costCompute.Add(maxDelta)
-	if s.prof != nil {
-		s.prof.Add(maxDelta, s.labelFrames[st.Label], "compute")
-	}
+	s.ledger.Charge(frame, "compute", maxDelta)
 
 	// Router charge: an h-relation of guest messages within i-clusters,
 	// h the max messages per host processor, each message a remote
@@ -326,10 +296,7 @@ func (s *sim) globalStep(st dbsp.Superstep, index int) error {
 	}
 	comm := float64(h) * dbsp.CommCost(s.g, s.layout.Mu(), s.prog.V, st.Label)
 	s.commCost += comm
-	s.costComm.Add(comm)
-	if s.prof != nil {
-		s.prof.Add(comm, s.labelFrames[st.Label], "comm")
-	}
+	s.ledger.Charge(frame, "comm", comm)
 
 	// Phase B (the log v′-superstep): clear every inbox and place the
 	// received messages, in ascending global sender order.
@@ -357,10 +324,7 @@ func (s *sim) globalStep(st dbsp.Superstep, index int) error {
 		}
 	}
 	s.moduleCost += maxDelta
-	s.costPlace.Add(maxDelta)
-	if s.prof != nil {
-		s.prof.Add(maxDelta, s.labelFrames[st.Label], "place")
-	}
+	s.ledger.Charge(frame, "place", maxDelta)
 	if s.obs.Tracing() {
 		s.obs.Emit(obs.Event{Sim: "self", Kind: "global-step", Step: index,
 			Label: st.Label, N: int64(h), Cost: s.moduleCost + s.commCost - costBefore})

@@ -2,6 +2,7 @@ package dbsp
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
@@ -29,11 +30,11 @@ func TestRunObservedPublishes(t *testing.T) {
 		t.Errorf("dbsp.cost.comm = %v, want %v", got, res.CommCost())
 	}
 	var sum float64
-	for _, ph := range costPhases {
-		sum += reg.FloatCounter("dbsp.cost." + ph).Value()
+	for _, c := range phaseCosts(reg) {
+		sum += c
 	}
 	if rel := (sum - res.Cost) / res.Cost; rel > 1e-9 || rel < -1e-9 {
-		t.Errorf("phase sum %v vs Cost %v (rel err %v)", sum, res.Cost, rel)
+		t.Errorf("phase sum %v vs Cost %v (rel err %v): %v", sum, res.Cost, rel, phaseCosts(reg))
 	}
 	if got := reg.Counter("dbsp.supersteps").Value(); got != int64(len(res.Steps)) {
 		t.Errorf("dbsp.supersteps = %d, want %d", got, len(res.Steps))
@@ -65,6 +66,46 @@ func TestRunObservedPublishes(t *testing.T) {
 	}
 }
 
+// TestRunObservedProfile: with a profile attached, every superstep's
+// charges fold under dbsp;label.<l>;<phase>, each phase's stacks add up
+// to its dbsp.cost.<phase> counter, and all stacks to Result.Cost.
+func TestRunObservedProfile(t *testing.T) {
+	prog := pairProg(16)
+	reg := obs.NewRegistry()
+	o := obs.New(reg, nil)
+	prof := obs.NewProfile()
+	o.Prof = prof
+
+	res, _, err := RunObserved(prog, cost.Log{}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPhase := make(map[string]float64)
+	var total float64
+	for _, sc := range prof.Folded() {
+		frames := strings.Split(sc.Stack, ";")
+		if len(frames) != 3 || frames[0] != "dbsp" || !strings.HasPrefix(frames[1], "label.") {
+			t.Fatalf("unexpected stack %q", sc.Stack)
+		}
+		byPhase[frames[2]] += sc.Cost
+		total += sc.Cost
+	}
+	phases := phaseCosts(reg)
+	for ph := range byPhase {
+		if _, ok := phases[ph]; !ok {
+			t.Errorf("profile phase %s has no dbsp.cost.%s counter", ph, ph)
+		}
+	}
+	for ph, want := range phases {
+		if got := byPhase[ph]; got-want > 1e-9*res.Cost || want-got > 1e-9*res.Cost {
+			t.Errorf("profile %s = %v, counter = %v", ph, got, want)
+		}
+	}
+	if rel := (total - res.Cost) / res.Cost; rel > 1e-9 || rel < -1e-9 {
+		t.Errorf("profile total %v vs Cost %v", total, res.Cost)
+	}
+}
+
 // TestRunObservedNilObserver: RunTraced must stay byte-identical to the
 // unobserved path (RunObserved with a nil observer).
 func TestRunObservedNilObserver(t *testing.T) {
@@ -83,4 +124,17 @@ func TestRunObservedNilObserver(t *testing.T) {
 	if tr.Messages() == 0 {
 		t.Error("trace not recorded")
 	}
+}
+
+// phaseCosts returns every top-level dbsp.cost.<phase> counter the
+// registry holds — what the run registered and charged, not a declared
+// list — keyed by phase.
+func phaseCosts(reg *obs.Registry) map[string]float64 {
+	out := make(map[string]float64)
+	for _, s := range reg.Snapshot() {
+		if ph, ok := strings.CutPrefix(s.Name, "dbsp.cost."); ok && ph != "total" && !strings.Contains(ph, ".") {
+			out[ph] = s.Value
+		}
+	}
+	return out
 }

@@ -47,24 +47,23 @@ func RunObserved(prog *Program, g cost.Func, o *obs.Observer) (*Result, *Trace, 
 	return RunShardedObserved(prog, g, 0, o)
 }
 
-// costPhases is the declared cost partition of a native run: the
-// top-level dbsp.cost.<phase> counters sum to dbsp.cost.total. The
-// observe test sums this list against the total and the costcharge
-// analyzer cross-checks it against the charges in publishRun.
-var costPhases = []string{"compute", "comm"}
-
-// publishRun copies a finished native run's accounting into the
-// registry and emits per-superstep events. Totals are copied verbatim
-// (dbsp.cost.total is exactly Result.Cost).
+// publishRun copies a finished run's accounting into the registry and
+// emits per-superstep events. Each superstep charges its work τ to the
+// compute phase and its h·g term to comm, under its label's profile
+// frame, in step order — Result.CommCost's own fold, so on a fresh
+// registry dbsp.cost.comm equals CommCost exactly. The total is copied
+// verbatim (dbsp.cost.total is exactly Result.Cost).
 func publishRun(o *obs.Observer, prog *Program, res *Result, tr *Trace) {
 	o.Counter("dbsp.supersteps").Add(int64(len(res.Steps)))
-	o.FloatCounter("dbsp.cost.compute").Add(float64(res.TotalTau()))
-	o.FloatCounter("dbsp.cost.comm").Add(res.CommCost())
-	o.FloatCounter("dbsp.cost.total").Add(res.Cost)
+	ledger := o.Ledger("dbsp", "compute", "comm")
+	ledger.Total(res.Cost)
 	o.Gauge("dbsp.v").Set(int64(prog.V))
 	o.Gauge("dbsp.mu").Set(int64(prog.Mu()))
 	hHist := o.Histogram("dbsp.h.per.step")
 	for i, sc := range res.Steps {
+		frame := obs.LabelFrame(sc.Label)
+		ledger.Charge(frame, "compute", float64(sc.Tau))
+		ledger.Charge(frame, "comm", sc.Cost-float64(sc.Tau))
 		o.Counter(fmt.Sprintf("dbsp.lambda.label.%d", sc.Label)).Inc()
 		hHist.Observe(int64(sc.H))
 		o.Emit(obs.Event{Sim: "dbsp", Kind: "superstep", Step: i, Label: sc.Label,
@@ -77,23 +76,6 @@ func publishRun(o *obs.Observer, prog *Program, res *Result, tr *Trace) {
 		msgHist.Observe(int64(len(st.Messages)))
 	}
 	o.Counter("dbsp.messages").Add(msgs)
-
-	// Span-stack attribution: the native cost split folded per superstep
-	// label under "dbsp;label.<i>;compute|comm". Off the hot path — the
-	// whole fold happens once, after the run.
-	if prof := o.Profile().Scope("dbsp"); prof != nil {
-		compute := make(map[int]float64)
-		comm := make(map[int]float64)
-		for _, sc := range res.Steps {
-			compute[sc.Label] += float64(sc.Tau)
-			comm[sc.Label] += sc.Cost - float64(sc.Tau)
-		}
-		for label := 0; label <= Log2(prog.V); label++ {
-			frame := fmt.Sprintf("label.%d", label)
-			prof.Add(compute[label], frame, "compute")
-			prof.Add(comm[label], frame, "comm")
-		}
-	}
 }
 
 // LocalityLevel returns the label of the finest cluster containing both

@@ -17,6 +17,7 @@ import (
 	"math/bits"
 
 	"repro/internal/cost"
+	"repro/internal/obs"
 )
 
 // Word is the unit of HMM storage.
@@ -125,7 +126,7 @@ type Machine struct {
 	mem   []Word
 	stats Stats
 	// Trace, when non-nil, is invoked for every word access with the
-	// operation kind and address. Used by cmd/memtrace and layout tests.
+	// operation kind and address. Used by Observe and by layout tests.
 	Trace func(op Op, addr int64)
 }
 
@@ -148,6 +149,38 @@ func (m *Machine) Size() int64 { return int64(len(m.mem)) }
 
 // Stats returns a copy of the accumulated statistics.
 func (m *Machine) Stats() Stats { return m.stats }
+
+// Observe exports the machine's accounting to o under the sim prefix.
+// The always-on accounting keeps only access counts per level, so
+// Observe hooks Trace to split the access cost by level too, reading
+// each f(x) from the compiled table the charge used (bit-identical to
+// the formula, without evaluating it again). The returned publish,
+// called after the run, unhooks Trace and adds <sim>.reads, .writes,
+// .computeops, .level.<k>.accesses and .cost (k the address bit-length,
+// as in Stats.Depth) and .memory.words, plus the charged total through
+// l. With a nil o nothing is hooked, so an unobserved run pays nothing,
+// and publish does nothing.
+func (m *Machine) Observe(o *obs.Observer, sim string, l *obs.Ledger) (publish func()) {
+	if o == nil {
+		return func() {}
+	}
+	var levelCost [DepthBuckets]float64
+	m.Trace = func(_ Op, x int64) { levelCost[bits.Len64(uint64(x))] += m.costAt(x) }
+	return func() {
+		m.Trace = nil
+		l.Total(m.stats.Cost)
+		o.Counter(sim + ".reads").Add(m.stats.Reads)
+		o.Counter(sim + ".writes").Add(m.stats.Writes)
+		o.Counter(sim + ".computeops").Add(m.stats.ComputeOps)
+		o.Gauge(sim + ".memory.words").Set(m.Size())
+		for k, n := range m.stats.Depth {
+			if n != 0 {
+				o.Counter(fmt.Sprintf("%s.level.%d.accesses", sim, k)).Add(n)
+				o.FloatCounter(fmt.Sprintf("%s.level.%d.cost", sim, k)).Add(levelCost[k])
+			}
+		}
+	}
+}
 
 // Cost returns the total charged model time so far.
 func (m *Machine) Cost() float64 { return m.stats.Cost }

@@ -1,11 +1,14 @@
 package hmm
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cost"
+	"repro/internal/obs"
 )
 
 func newFlat(size int64) *Machine { return New(cost.Const{C: 1}, size) }
@@ -187,6 +190,59 @@ func TestTraceHook(t *testing.T) {
 	}
 	if OpRead.String() != "read" || OpWrite.String() != "write" {
 		t.Error("Op.String mismatch")
+	}
+}
+
+// TestObservePublishesAccounting: Observe's per-level cost is the
+// direct formula's f(x) folded per address bit-length in access order,
+// bit for bit, and publish exports the machine's own accounting and
+// unhooks Trace.
+func TestObservePublishesAccounting(t *testing.T) {
+	f := cost.Poly{Alpha: 0.3}
+	m := New(f, 1<<12)
+	if m.Observe(nil, "hmm", nil)(); m.Trace != nil {
+		t.Fatal("Observe with a nil observer hooked Trace")
+	}
+	reg := obs.NewRegistry()
+	o := obs.New(reg, nil)
+	publish := m.Observe(o, "hmm", o.Ledger("hmm"))
+	var want [DepthBuckets]float64
+	for _, x := range []int64{0, 1, 3, 100, 1000, 3000, 4095, 7} {
+		m.Write(x, 1)
+		m.Read(x)
+		want[bits.Len64(uint64(x))] += f.Cost(x) // the write
+		want[bits.Len64(uint64(x))] += f.Cost(x) // the read
+	}
+	m.ReadRange(512, make([]Word, 64))
+	for x := int64(512); x < 576; x++ {
+		want[bits.Len64(uint64(x))] += f.Cost(x)
+	}
+	m.ChargeOps(5)
+	publish()
+
+	if m.Trace != nil {
+		t.Error("publish left Trace hooked")
+	}
+	st := m.Stats()
+	if got := reg.FloatCounter("hmm.cost.total").Value(); got != st.Cost {
+		t.Errorf("hmm.cost.total = %v, want %v", got, st.Cost)
+	}
+	for name, n := range map[string]int64{"hmm.reads": st.Reads, "hmm.writes": st.Writes,
+		"hmm.computeops": 5} {
+		if got := reg.Counter(name).Value(); got != n {
+			t.Errorf("%s = %d, want %d", name, got, n)
+		}
+	}
+	if got := reg.Gauge("hmm.memory.words").Value(); got != 1<<12 {
+		t.Errorf("hmm.memory.words = %d, want %d", got, 1<<12)
+	}
+	for k, n := range st.Depth {
+		if got := reg.Counter(fmt.Sprintf("hmm.level.%d.accesses", k)).Value(); got != n {
+			t.Errorf("level %d accesses = %d, want %d", k, got, n)
+		}
+		if got := reg.FloatCounter(fmt.Sprintf("hmm.level.%d.cost", k)).Value(); got != want[k] {
+			t.Errorf("level %d cost = %v, want %v bit for bit", k, got, want[k])
+		}
 	}
 }
 

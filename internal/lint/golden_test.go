@@ -18,8 +18,6 @@ var goldenWant = []string{
 	"internal/badbulk/badbulk.go:23: bulkcharge: per-word Write on a unit-stride address inside a +1 loop charges per word — use WriteRange to charge the interval in O(segments)",
 	"internal/badbulk/badbulk.go:31: bulkcharge: per-word Read on a unit-stride address inside a +1 loop charges per word — use ReadRange to charge the interval in O(segments)",
 	"internal/badbulk/badbulk.go:39: bulkcharge: per-word SwapWords on a unit-stride address inside a +1 loop charges per word — use SwapRange to charge the interval in O(segments)",
-	`internal/badcharge/badcharge.go:29: costcharge: cost phase "comm" is charged but missing from costPhases; it would break the phases-partition-the-total invariant`,
-	`internal/badcharge/badcharge.go:31: costcharge: cost phase "route" is charged but missing from costPhases; it would break the phases-partition-the-total invariant`,
 	`internal/badconfine/badconfine.go:14: stepconfine: Run closure writes captured variable "total"; processors execute concurrently, so writes to enclosing-scope state race (keep per-processor state in the Ctx, or aggregate after the run)`,
 	`internal/badconfine/badconfine.go:26: stepconfine: Run closure writes captured variable "log"; processors execute concurrently, so writes to enclosing-scope state race (keep per-processor state in the Ctx, or aggregate after the run)`,
 	"internal/baddetflow/baddetflow.go:35: detflow: argument to Emit is tainted by map-iteration order (baddetflow.go:31) and reaches printed output inside it (baddetflow.go:22): nondeterminism in output breaks the byte-identical sweep contract",
@@ -51,9 +49,6 @@ var goldenWant = []string{
 	`internal/badshare/badshare.go:40: sharesafe: "buf" was sent over a channel at line 39; writing through it afterwards races with the receiving goroutine — hand off a copy, or synchronize before reusing it`,
 	`internal/badshare/badshare.go:48: sharesafe: "scale" was captured by a closure sent over a channel at line 47; writing it afterwards races with the receiving goroutine — hand off a copy, or synchronize before reusing it`,
 	`internal/badshare/badshare.go:55: sharesafe: "view" was handed to a goroutine at line 54; appending to it in place afterwards races with the receiving goroutine — hand off a copy, or synchronize before reusing it`,
-	`internal/badsim/sim.go:7: costcharge: costPhases lists "stale" but the package never charges it; remove the stale entry or restore the counter`,
-	`internal/badsim/sim.go:18: costcharge: cost phase "comm" is charged but missing from costPhases; it would break the phases-partition-the-total invariant`,
-	"internal/nodecl/sim.go:11: costcharge: package nodecl charges cost phases but declares no costPhases partition (the obs tests sum the partition against <sim>.cost.total)",
 	"internal/obs/metrics.go:48: snapshotonly: obs.Add mutates observability state but is reachable from an obshttp handler — handlers must stay snapshot-only (the static form of TestServeLiveObservability's contract)",
 	"internal/obs/obshttp/handlers.go:26: snapshotonly: obs.Add mutates observability state but is reachable from an obshttp handler — handlers must stay snapshot-only (the static form of TestServeLiveObservability's contract)",
 	"internal/obs/obshttp/handlers.go:45: snapshotonly: obs.Reset mutates observability state but is reachable from an obshttp handler — handlers must stay snapshot-only (the static form of TestServeLiveObservability's contract)",

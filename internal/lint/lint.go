@@ -11,9 +11,8 @@
 // adds full go/types information through a custom importer that checks
 // the module's own packages in dependency order from the Load results,
 // resolving out-of-module imports to empty placeholders; the typed
-// analyzers (stepshape, stepconfine, costcharge) use it to statically
-// prove the paper's Section 2 program discipline, handler state
-// confinement and the cost-partition identity.
+// analyzers (stepshape, stepconfine) use it to statically prove the
+// paper's Section 2 program discipline and handler state confinement.
 // The dataflow layer (cfg.go, dataflow.go) builds per-function
 // control-flow graphs and reaching definitions on top of the typed
 // pass; the dataflow analyzers (sharesafe, lockdiscipline,
@@ -162,7 +161,6 @@ func Analyzers() []*Analyzer {
 		ExitDiscipline,
 		StepShape,
 		StepConfine,
-		CostCharge,
 		ShareSafe,
 		LockDiscipline,
 		SnapshotOnly,

@@ -8,31 +8,6 @@ import (
 	"testing"
 )
 
-func TestTopLevelPhase(t *testing.T) {
-	cases := []struct {
-		name  string
-		phase string
-		ok    bool
-	}{
-		{"hmm.cost.compute", "compute", true},
-		{"bt.cost.swap", "swap", true},
-		{"hmm.cost.total", "", false},       // the total is the sum, not a phase
-		{"bt.cost.deliver.sort", "", false}, // sub-phase refinement
-		{"dbsp.lambda.label.0", "", false},  // not a cost metric
-		{"a.b.cost.compute", "", false},     // dotted sim component
-		{"hmm.cost.", "", false},            // empty phase
-		{".cost.compute", "", false},        // empty sim component
-		{"hmm.blocks.cost", "", false},      // ".cost" suffix, not ".cost." infix
-	}
-	for _, c := range cases {
-		phase, ok := topLevelPhase(c.name)
-		if phase != c.phase || ok != c.ok {
-			t.Errorf("topLevelPhase(%q) = (%q, %v), want (%q, %v)",
-				c.name, phase, ok, c.phase, c.ok)
-		}
-	}
-}
-
 func TestModulePath(t *testing.T) {
 	dir := t.TempDir()
 	gomod := "// a comment\nmodule example.com/mymod\n\ngo 1.22\n"

@@ -140,16 +140,6 @@ func constIntOf(p *Package, e ast.Expr) (int64, bool) {
 	return constant.Int64Val(v)
 }
 
-// constStringOf returns e's value when it folds to a string constant —
-// a literal, a named constant, or any concatenation of those.
-func constStringOf(p *Package, e ast.Expr) (string, bool) {
-	v := constOf(p, e)
-	if v == nil || v.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(v), true
-}
-
 // isTypeNamed reports whether t (through one pointer) is the named type
 // pkgSuffix.name, where pkgSuffix matches the defining package's import
 // path exactly or as a trailing "/"-separated suffix. Suffix matching
@@ -220,22 +210,6 @@ func objectOf(p *Package, id *ast.Ident) types.Object {
 		return nil
 	}
 	return p.Info.ObjectOf(id)
-}
-
-// calleeObject resolves the object a call's function expression
-// denotes: the function or method object for plain and selector calls,
-// nil otherwise.
-func calleeObject(p *Package, call *ast.CallExpr) types.Object {
-	if p.Info == nil {
-		return nil
-	}
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return p.Info.Uses[fun]
-	case *ast.SelectorExpr:
-		return p.Info.Uses[fun.Sel]
-	}
-	return nil
 }
 
 // posWithin reports whether pos falls inside node's source range.

@@ -28,6 +28,16 @@
 // front (Registry lookups are create-on-first-use and stable) and then
 // touch only atomics.
 //
+// A Ledger is the one charging path for model cost: every engine (the
+// D-BSP engine and the three simulators) takes one from
+// Observer.Ledger and reports each phase boundary with
+// Charge(frame, phase, delta), which adds the delta to
+// <sim>.cost.<phase> and, with a Profile attached, to the folded stack
+// <sim>;<frame>;<phase> (frame is LabelFrame(l) for a superstep of
+// label l). Total copies the returned cost into <sim>.cost.total. No
+// engine resolves a cost counter or scopes a profile itself, so the
+// counters and the stacks are one accounting.
+//
 // # Metric names
 //
 // Components prefix their metrics: "dbsp." (the D-BSP engine), "hmm."

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -72,17 +73,27 @@ func TestThroughputCountersPartitionJobs(t *testing.T) {
 // on one shared registry (via the LiveMetrics fold and directly) while
 // a scrape loop snapshots the registry, renders it in Prometheus text
 // format and polls the progress tracker — exactly what a /metrics +
-// /debug/progress scraper does against a running sweep.
+// /debug/progress scraper does against a running sweep. Every job
+// waits for the loop's first completed scrape, so the sweep cannot
+// finish before the scraper has run, and the loop is joined before
+// any assertion.
 func TestScrapeWhileSweepRaces(t *testing.T) {
 	reg := obs.NewRegistry()
 	prog := NewProgress()
 	prof := obs.NewProfile()
 	shared := obs.New(reg, nil)
 
+	// scraped is closed after the first completed scrape, or when the
+	// loop exits early, so no job can wait forever.
+	scraped := make(chan struct{})
+	var release sync.Once
+	releaseJobs := func() { release.Do(func() { close(scraped) }) }
+
 	const n = 64
 	jobs := make([]Job, n)
 	for i := range jobs {
 		jobs[i] = Job{ID: fmt.Sprintf("J%02d", i), Run: func(ctx context.Context, p Params) (any, error) {
+			<-scraped
 			for k := 0; k < 100; k++ {
 				// Direct writes to the shared engine registry, racing the
 				// scrape loop's Snapshot.
@@ -102,7 +113,11 @@ func TestScrapeWhileSweepRaces(t *testing.T) {
 
 	stop := make(chan struct{})
 	scrapes := new(atomic.Int64)
+	var loop sync.WaitGroup
+	loop.Add(1)
 	go func() {
+		defer loop.Done()
+		defer releaseJobs()
 		for {
 			select {
 			case <-stop:
@@ -117,6 +132,7 @@ func TestScrapeWhileSweepRaces(t *testing.T) {
 			_ = prog.Snapshot()
 			_ = prof.Folded()
 			scrapes.Add(1)
+			releaseJobs()
 		}
 	}()
 
@@ -125,6 +141,7 @@ func TestScrapeWhileSweepRaces(t *testing.T) {
 		Obs: shared, Progress: prog, Profile: prof,
 	})
 	close(stop)
+	loop.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
