@@ -10,11 +10,11 @@
 //	        [-serve ADDR] [-serve-linger D] [-cost-profile F]
 //
 // The engine multiplexes the v processors over -shards per-shard
-// context arenas with a two-phase delivery exchange, scaling to
-// v = 2^20 and beyond. -shards 0 (the default) derives the count from
-// v: one inline shard for small machines, up to GOMAXPROCS for big
-// ones. Every shard count prints the same bytes — contexts, per-step
-// costs, totals and error text are bit-identical.
+// context arenas and copies only the messages that cross a shard
+// boundary, scaling to v = 2^20 and beyond. -shards 0 (the default)
+// derives the count from v: one inline shard for small machines, up to
+// GOMAXPROCS for big ones. Every shard count prints the same bytes —
+// contexts, per-step costs, totals and error text are bit-identical.
 //
 // Programs: rotate, bcast, prefix, matmul, fft, fftrec, sort, permute,
 // conv, reduce, stencil.

@@ -241,7 +241,7 @@ func main() {
 			}
 			fmt.Println("# Aggregate simulation metrics (all experiment runs)")
 			fmt.Println()
-			fmt.Println(obs.Report(reg))
+			fmt.Println(obs.Report(withoutWallClock(reg)))
 		}
 	}
 	fmt.Fprintf(os.Stderr, "experiments: %d jobs on %d workers in %v\n",
@@ -358,6 +358,27 @@ func effectiveWorkers(workers, jobs int) int {
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "experiments: %s\n", fmt.Sprintf(format, args...))
 	os.Exit(1)
+}
+
+// wallClockMetric is the sweep engine's per-job wall-clock histogram.
+// It varies from run to run, so /metrics serves it but the stdout
+// report leaves it out: stdout stays byte-identical between runs.
+const wallClockMetric = "sweep.job.wall_ms"
+
+// withoutWallClock copies reg without wallClockMetric, for the stdout
+// report. The copy renders the same bytes: every other histogram in reg
+// arrived by Import, so its sum is already the bucket-floor sum a
+// second Import reproduces.
+func withoutWallClock(reg *obs.Registry) *obs.Registry {
+	var kept []obs.Sample
+	for _, s := range reg.Snapshot() {
+		if s.Name != wallClockMetric {
+			kept = append(kept, s)
+		}
+	}
+	out := obs.NewRegistry()
+	out.Import(kept)
+	return out
 }
 
 // usageErr reports a flag-validation failure: the message, then the

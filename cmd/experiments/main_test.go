@@ -320,3 +320,36 @@ func TestMetricsReportIncludesSweep(t *testing.T) {
 		}
 	}
 }
+
+// -metrics keeps stdout reproducible: two identical runs print the same
+// bytes, because the wall-clock sweep.job.wall_ms histogram stays off
+// the stdout report (/metrics still serves it).
+func TestMetricsReportReproducible(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go build")
+	}
+	args := []string{"-quick", "-run=E0[34]", "-workers=1", "-metrics"}
+	first, _, code := runSelf(t, args...)
+	if code != 0 {
+		t.Fatalf("first run exited %d", code)
+	}
+	second, _, code := runSelf(t, args...)
+	if code != 0 {
+		t.Fatalf("second run exited %d", code)
+	}
+	if first != second {
+		a, b := strings.Split(first, "\n"), strings.Split(second, "\n")
+		for i := 0; i < len(a) && i < len(b); i++ {
+			if a[i] != b[i] {
+				t.Errorf("two identical -metrics runs differ at stdout line %d:\n first: %q\nsecond: %q", i+1, a[i], b[i])
+				break
+			}
+		}
+		if len(a) != len(b) {
+			t.Errorf("two identical -metrics runs print %d and %d stdout lines", len(a), len(b))
+		}
+	}
+	if strings.Contains(first, "sweep.job.wall_ms") {
+		t.Error("stdout report includes the wall-clock sweep.job.wall_ms histogram")
+	}
+}

@@ -83,12 +83,12 @@ func queueSends(t *testing.T, l Layout, ctxs [][]Word, sends [][]send) {
 	}
 }
 
-// requireExchangeMatchesDeliver runs the same outboxes through Deliver
-// and through the engine's shard exchange at shard counts 1, 2, 3, v
-// and v+7 — so senders and receivers fall on either side of shard
-// boundaries — and requires identical h, error text, inboxes and
-// cleared outboxes. prepare, when set, runs on every fresh context set
-// before the sends are queued (to plant stale inbox state).
+// requireExchangeMatchesDeliver runs the same sends through Deliver
+// and through the engine at shard counts 1, 2, 3, v and v+7 — so
+// senders and receivers fall on either side of shard boundaries — and
+// requires identical h, error text, inboxes and cleared outboxes.
+// prepare, when set, runs on every fresh context set before the sends
+// are queued (to plant stale inbox state).
 func requireExchangeMatchesDeliver(t *testing.T, l Layout, v int, sends [][]send, prepare func([][]Word)) {
 	t.Helper()
 	ref := deliverCtxs(t, l, v, nil)
@@ -98,12 +98,7 @@ func requireExchangeMatchesDeliver(t *testing.T, l Layout, v int, sends [][]send
 	queueSends(t, l, ref, sends)
 	wantH, wantErr := Deliver(l, ref)
 	for _, shards := range []int{1, 2, 3, v, v + 7} {
-		e := newShardEngine(&Program{Name: "exchange", V: v, Layout: l}, shards)
-		if prepare != nil {
-			prepare(e.ctxs)
-		}
-		queueSends(t, l, e.ctxs, sends)
-		h, err := e.exchange()
+		e, h, err := runExchange(l, v, sends, prepare, shards)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("shards=%d: exchange error %v, Deliver's %v", shards, err, wantErr)
 		}
@@ -122,6 +117,28 @@ func requireExchangeMatchesDeliver(t *testing.T, l Layout, v int, sends [][]send
 			}
 		}
 	}
+}
+
+// runExchange executes sends on a fresh v-processor engine at the given
+// shard count the way a program would: one label-0 superstep whose
+// handler replays each processor's planned sends through Ctx.Send, so
+// the handler pass buckets the messages that leave their shard and the
+// delivery pass reads the rest from the outboxes. prepare, when set,
+// runs on the contexts first. It returns the engine and the step's h.
+func runExchange(l Layout, v int, sends [][]send, prepare func([][]Word), shards int) (*shardEngine, int, error) {
+	e := newShardEngine(&Program{Name: "exchange", V: v, Layout: l}, shards)
+	if prepare != nil {
+		prepare(e.ctxs)
+	}
+	replay := Superstep{Label: 0, Run: func(c *Ctx) {
+		if c.ID() < len(sends) {
+			for _, s := range sends[c.ID()] {
+				c.Send(s.dest, s.payload)
+			}
+		}
+	}}
+	sc, err := e.runStep(replay, nil, true)
+	return e, sc.H, err
 }
 
 // inbox reads back processor p's inbox as delivered (src, payload)
@@ -289,6 +306,66 @@ func TestDeliverOverflowAtMaxMsgsPlusOne(t *testing.T) {
 			t.Errorf("overflow error %q does not name %s and capacity", err, tc.victim)
 		}
 		requireExchangeMatchesDeliver(t, l, tc.v, tc.sends, nil)
+	}
+}
+
+// TestDeliverOverflowOwnOutboxesAndBucket splits v = 8 over two shards
+// so that, in the delivery pass, shard 0 overflows while reading its
+// own outboxes and shard 1 while reading shard 0's bucket. The
+// reported overflow must be whichever comes first in the global
+// (src, idx) scan order — the own-outbox one in the first case, the
+// bucket one in the second. Each case also sends inside shard 1 so
+// that a delivery pass reading its own outboxes before the lower
+// shards' buckets would report a different processor.
+func TestDeliverOverflowOwnOutboxesAndBucket(t *testing.T) {
+	l := Layout{Data: 1, MaxMsgs: 2}
+	for _, tc := range []struct {
+		name     string
+		sends    [][]send
+		ownFirst bool
+		victim   string
+	}{
+		{
+			// Shard 0 overflows processor 2 at (2, 0) from its own
+			// outboxes; shard 1 overflows processor 6 at (3, 0) from
+			// the bucket. Read before the bucket, processor 7's message
+			// would make 6 overflow at (0, 1).
+			name:     "own-outbox overflow first",
+			sends:    [][]send{{{6, 1}, {6, 2}}, {{2, 3}, {2, 4}}, {{2, 5}}, {{6, 6}}, nil, nil, nil, {{6, 7}}},
+			ownFirst: true,
+			victim:   "processor 2",
+		},
+		{
+			// Shard 1 overflows processor 5 at (1, 0) from the bucket;
+			// shard 0 overflows processor 0 at (3, 0) from its own
+			// outboxes. Read before the bucket, processors 4 and 5
+			// would make 6 overflow at (5, 0), leaving shard 0's
+			// overflow first.
+			name:     "bucket overflow first",
+			sends:    [][]send{{{5, 1}, {5, 2}}, {{5, 3}}, {{0, 4}, {0, 5}}, {{0, 6}}, {{6, 7}, {6, 8}}, {{6, 9}}},
+			ownFirst: false,
+			victim:   "processor 5",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, _, err := runExchange(l, 8, tc.sends, nil, 2)
+			if err == nil || !strings.Contains(err.Error(), tc.victim) {
+				t.Fatalf("2 shards: error %v, want an overflow at %s", err, tc.victim)
+			}
+			own, bucket := e.ovf[0], e.ovf[1]
+			if lo, hi := e.span(0); !own.ok || own.src < lo || own.src >= hi {
+				t.Fatalf("shard 0 overflow %+v is not from its own outboxes [%d, %d)", own, lo, hi)
+			}
+			if lo, _ := e.span(1); !bucket.ok || bucket.src >= lo {
+				t.Fatalf("shard 1 overflow %+v is not from shard 0's bucket", bucket)
+			}
+			ownFirst := own.src < bucket.src || (own.src == bucket.src && own.idx < bucket.idx)
+			if ownFirst != tc.ownFirst {
+				t.Errorf("own-outbox overflow (%d, %d) first = %v against bucket overflow (%d, %d), want %v",
+					own.src, own.idx, ownFirst, bucket.src, bucket.idx, tc.ownFirst)
+			}
+			requireExchangeMatchesDeliver(t, l, 8, tc.sends, nil)
+		})
 	}
 }
 

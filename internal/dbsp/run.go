@@ -65,9 +65,10 @@ func NewContexts(prog *Program) [][]Word {
 // Run executes prog on a D-BSP(v, µ, g) machine at the default shard
 // count (ShardCount(0, v)): the v processors are multiplexed over
 // per-shard context arenas, a barrier ends each superstep's handler
-// phase, and messages move in a two-phase shard-to-shard exchange (see
-// sharded.go). It returns the final contexts and the exact model cost,
-// which no shard count changes by a single bit.
+// pass, and a delivery pass fills every inbox, copying only the
+// messages that cross a shard boundary (see sharded.go). It returns
+// the final contexts and the exact model cost, which no shard count
+// changes by a single bit.
 func Run(prog *Program, g cost.Func) (*Result, error) {
 	return RunSharded(prog, g, 0)
 }
@@ -92,17 +93,5 @@ func verifyTranspose(prog *Program, ctxs [][]Word, st Superstep) error {
 			return fmt.Errorf("transpose superstep: processor %d sent to %d, want %d", p, got, want)
 		}
 	}
-	return nil
-}
-
-// runProc executes handler run on c, translating model violations
-// (which Ctx reports by panicking) into errors.
-func runProc(run func(*Ctx), c *Ctx) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("handler panic: %v", r)
-		}
-	}()
-	run(c)
 	return nil
 }

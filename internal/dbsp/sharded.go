@@ -12,9 +12,14 @@ import (
 // The engine executes a D-BSP program by multiplexing its v
 // processors — lightweight contexts — over a few shards, each shard
 // owning a contiguous range of processor ids backed by its own arena.
-// Per superstep it runs three barriers — handlers, then a two-phase
-// shard-to-shard message exchange — and accumulates τ and errors
-// shard-locally instead of in per-processor slices. One shard runs
+// Per superstep it runs two barriers — a handler pass, which also
+// copies the messages that leave their shard into per-destination-shard
+// buckets, then a delivery pass, which fills each shard's inboxes from
+// the lower shards' buckets, its own outboxes read in place, and the
+// higher shards' buckets — and accumulates τ and errors shard-locally
+// instead of in per-processor slices. A message that stays inside its
+// shard is never copied anywhere but into its inbox, so at one shard
+// the exchange is one copy-free scan of the outboxes. One shard runs
 // inline on the caller's goroutine, so the default count (ShardCount)
 // gives small machines a sequential loop and spreads big ones over
 // GOMAXPROCS shards.
@@ -36,11 +41,12 @@ import (
 // one-shard run and to the three simulators.
 
 // minShardProcs is the fewest processors a shard gets at the default
-// shard count. Every superstep fans each shard out three times
-// (handlers, then both exchange phases); below this many processors
-// per shard those fan-outs cost more than the handler work they
-// spread. Measured on a 2-vCPU host (DESIGN.md §11). It stays at most
-// 2^16 so a 2^17-processor machine still splits over two shards.
+// shard count. Every superstep fans each shard out twice (the handler
+// pass, then the delivery pass); below this many processors per shard
+// those fan-outs cost more than the handler work they spread. Measured
+// on a 2-vCPU host when a superstep still had three fan-outs, and kept
+// (DESIGN.md §11). It stays at most 2^16 so a 2^17-processor machine
+// still splits over two shards.
 const minShardProcs = 1 << 12
 
 // ShardCount resolves a requested shard count for a v-processor run.
@@ -107,26 +113,28 @@ type shardEngine struct {
 	chunk  int // processors per shard (last shard may be short)
 	shards int // effective shard count: ceil(V/chunk)
 
-	// Handler-phase accumulators, one entry per shard: the shard's τ
-	// (max ops over its processors), its first handler error and the
-	// processor that raised it. O(shards), not O(v), reduced after the
-	// barrier.
+	// Handler-pass accumulators, one entry per shard: the shard's τ
+	// (max ops over its processors), its max messages sent by one
+	// processor, its first handler error and the processor that raised
+	// it. O(shards), not O(v), reduced after the barrier.
 	taus     []int64
+	sentMax  []int
 	errs     []error
 	errProcs []int
 
-	// Exchange-phase accumulators, one entry per shard.
-	sentMax []int // max messages sent by one of the shard's processors
+	// Delivery-pass accumulators, one entry per shard.
 	recvMax []int // max messages received by one of the shard's processors
 	ovf     []overflow
 
-	// out[s][d] is shard s's outgoing bucket for destination shard d:
-	// flat (src, idx, dest, payload) records in ascending (src, idx)
-	// order, reused across supersteps via [:0]. idx is the message's
-	// send index within its sender's outbox — with src it ranks
-	// messages in the global delivery-scan order (ascending sender, then
-	// send order), which is what makes cross-shard overflow reporting
-	// exact.
+	// out[s][d] is shard s's outgoing bucket for another destination
+	// shard d: flat (src, idx, dest, payload) records in ascending
+	// (src, idx) order, filled in the handler pass and reused across
+	// supersteps via [:0]. idx is the message's send index within its
+	// sender's outbox — with src it ranks messages in the global
+	// delivery-scan order (ascending sender, then send order), which is
+	// what makes cross-shard overflow reporting exact. out[s][s] stays
+	// empty: a message that stays inside its shard is read from its
+	// sender's outbox in the delivery pass.
 	out [][][]Word
 }
 
@@ -179,38 +187,16 @@ func (e *shardEngine) parallel(fn func(s int)) {
 	wg.Wait()
 }
 
-// runStep executes one superstep: handlers in parallel over shards,
-// the optional Transpose verification and pre-delivery observer, then
-// the two-phase exchange.
+// runStep executes one superstep: the handler pass in parallel over
+// shards, the optional Transpose verification and pre-delivery
+// observer, then the delivery pass.
 func (e *shardEngine) runStep(st Superstep, collect func(), verify bool) (StepCost, error) {
 	sc := StepCost{Label: st.Label}
 	if st.Run == nil {
 		return sc, nil // dummy superstep: no computation, no messages
 	}
 
-	// Phase 1: handlers. Each shard walks its processors in ascending
-	// order, folding ops into a shard-local max and keeping only the
-	// first error — the hot loop touches no shared slice. One store and
-	// one Ctx serve all of the shard's processors, reset per processor:
-	// a handler cannot keep its Ctx (stepconfine rejects a Run closure
-	// that writes a captured variable), so the reuse is unobservable and
-	// saves two heap objects per processor per superstep.
-	e.parallel(func(s int) {
-		lo, hi := e.span(s)
-		store := &sliceStore{}
-		c := &Ctx{st: store, layout: e.prog.Layout, v: e.prog.V, label: st.Label}
-		var tau int64
-		e.errs[s] = nil
-		for p := lo; p < hi; p++ {
-			store.mem, store.ops, c.id = e.ctxs[p], 0, p
-			if err := runProc(st.Run, c); err != nil {
-				e.errs[s], e.errProcs[s] = err, p
-				return
-			}
-			tau = max(tau, store.ops)
-		}
-		e.taus[s] = tau
-	})
+	e.parallel(func(s int) { e.handleShard(s, st.Label, st.Run) })
 	for s := 0; s < e.shards; s++ {
 		if err := e.errs[s]; err != nil {
 			// Ascending shards own ascending processor ranges, so the
@@ -238,19 +224,67 @@ func (e *shardEngine) runStep(st Superstep, collect func(), verify bool) (StepCo
 	return sc, nil
 }
 
-// exchange is the two-phase shard-to-shard delivery. Phase A: every
-// shard clears its own inbox counts, drains its own outboxes into
-// per-destination-shard buckets and clears the outbox counts. Phase B:
-// every shard appends its incoming buckets — ascending source shard,
-// which restores the global ascending-(sender, send index) delivery
-// order restricted to this shard — into its own inboxes. Each phase
-// writes only shard-owned state, so both parallelise freely; the
-// barrier between them is the only synchronisation. h and the overflow
-// report reduce afterwards to exactly what one sequential scan of all
-// v outboxes produces (see the bit-identity argument at the top of the
-// file).
+// handleShard is the handler pass for shard s. It walks the shard's
+// processors in ascending order, folding ops and sent counts into
+// shard-local maxima — the hot loop touches no shared slice. One store
+// and one Ctx serve all of the shard's processors, reset per processor:
+// a handler cannot keep its Ctx (stepconfine rejects a Run closure that
+// writes a captured variable), so the reuse is unobservable and saves
+// two heap objects per processor per superstep. Right after a
+// processor's handler returns, its inbox count is cleared (inboxes are
+// written only in the delivery pass, after the barrier) and its
+// messages to other shards are appended to the shard's buckets; its
+// outbox keeps every message, for the observers and for the delivery
+// pass to read in place. A handler panic — the way Ctx reports a model
+// violation — stops the shard and is recorded against the processor
+// that raised it.
+func (e *shardEngine) handleShard(s, label int, run func(*Ctx)) {
+	l := e.prog.Layout
+	lo, hi := e.span(s)
+	buckets := e.out[s]
+	for d := range buckets {
+		buckets[d] = buckets[d][:0]
+	}
+	store := &sliceStore{}
+	c := &Ctx{st: store, layout: l, v: e.prog.V, label: label}
+	var tau int64
+	maxSent := 0
+	e.errs[s] = nil
+	p := lo
+	defer func() {
+		if r := recover(); r != nil {
+			e.errs[s], e.errProcs[s] = fmt.Errorf("handler panic: %v", r), p
+		}
+	}()
+	for ; p < hi; p++ {
+		ctx := e.ctxs[p]
+		store.mem, store.ops, c.id = ctx, 0, p
+		run(c)
+		tau = max(tau, store.ops)
+		ctx[l.InCountOff()] = 0
+		sent := int(ctx[l.OutCountOff()])
+		maxSent = max(maxSent, sent)
+		if e.shards == 1 {
+			continue // every destination is in this shard
+		}
+		for k := 0; k < sent; k++ {
+			if dest := int(ctx[l.OutboxOff(k)]); dest < lo || dest >= hi {
+				d := dest / e.chunk
+				buckets[d] = append(buckets[d], Word(p), Word(k), Word(dest), ctx[l.OutboxOff(k)+1])
+			}
+		}
+	}
+	e.taus[s], e.sentMax[s] = tau, maxSent
+}
+
+// exchange is the delivery pass and its reduction. Every shard fills
+// its own inboxes (deliverShard) and clears its own outbox counts, so
+// the pass writes only shard-owned state and parallelises freely; the
+// barrier after the handler pass is the only synchronisation. h and
+// the overflow report reduce afterwards to exactly what one sequential
+// scan of all v outboxes produces (see the bit-identity argument at
+// the top of the file).
 func (e *shardEngine) exchange() (h int, err error) {
-	e.parallel(e.collectShard)
 	e.parallel(e.deliverShard)
 	for s := 0; s < e.shards; s++ {
 		h = max(h, e.sentMax[s], e.recvMax[s])
@@ -276,66 +310,69 @@ func (e *shardEngine) exchange() (h int, err error) {
 	return h, nil
 }
 
-// collectShard is exchange phase A for shard s: reset the shard's
-// inbox counts (inboxes are written only in phase B, after the
-// barrier), bucket its outgoing messages by destination shard and
-// clear its outbox counts.
-func (e *shardEngine) collectShard(s int) {
-	l := e.prog.Layout
-	lo, hi := e.span(s)
-	buckets := e.out[s]
-	for d := range buckets {
-		buckets[d] = buckets[d][:0]
-	}
-	maxSent := 0
-	for p := lo; p < hi; p++ {
-		ctx := e.ctxs[p]
-		ctx[l.InCountOff()] = 0
-		sent := int(ctx[l.OutCountOff()])
-		maxSent = max(maxSent, sent)
-		for k := 0; k < sent; k++ {
-			dest := int(ctx[l.OutboxOff(k)])
-			payload := ctx[l.OutboxOff(k)+1]
-			d := dest / e.chunk
-			buckets[d] = append(buckets[d], Word(p), Word(k), Word(dest), payload)
-		}
-		ctx[l.OutCountOff()] = 0
-	}
-	e.sentMax[s] = maxSent
-}
-
-// deliverShard is exchange phase B for shard d: append every incoming
-// bucket into the shard's inboxes. Source shards are walked in
-// ascending order and each bucket is already in ascending (src, idx)
-// order, so the concatenated stream is sorted by (src, idx) — the
-// sequential delivery order restricted to this shard's processors. On
+// deliverShard is the delivery pass for shard d: it walks the source
+// shards in ascending order, appending another shard's bucket for d
+// and, at its own position, reading its own processors' outboxes in
+// place — keeping the messages addressed inside the shard and clearing
+// the outbox counts. Every source yields ascending (src, idx) order and
+// the sources own ascending processor ranges, so the concatenated
+// stream is the sequential delivery order restricted to this shard's
+// processors. The received maximum folds as the inbox counts grow. On
 // the first overflow the shard records the offender and stops; the
 // cross-shard reduction in exchange picks the global first.
 func (e *shardEngine) deliverShard(d int) {
 	l := e.prog.Layout
+	lo, hi := e.span(d)
 	e.ovf[d] = overflow{}
+	maxRecv := 0
 	for s := 0; s < e.shards; s++ {
-		rec := e.out[s][d]
-		for i := 0; i < len(rec); i += 4 {
-			dest := int(rec[i+2])
-			dctx := e.ctxs[dest]
-			n := int(dctx[l.InCountOff()])
-			if n >= l.MaxMsgs {
-				e.ovf[d] = overflow{ok: true, src: int(rec[i]), idx: int(rec[i+1]), dest: dest}
-				e.recvMax[d] = 0
-				return
+		if s != d {
+			rec := e.out[s][d]
+			for i := 0; i < len(rec); i += 4 {
+				src, dest := int(rec[i]), int(rec[i+2])
+				n := e.push(dest, src, rec[i+3])
+				if n == 0 {
+					e.ovf[d] = overflow{ok: true, src: src, idx: int(rec[i+1]), dest: dest}
+					return
+				}
+				maxRecv = max(maxRecv, n)
 			}
-			dctx[l.InboxOff(n)] = rec[i]
-			dctx[l.InboxOff(n)+1] = rec[i+3]
-			dctx[l.InCountOff()] = Word(n + 1)
+			continue
+		}
+		for p := lo; p < hi; p++ {
+			ctx := e.ctxs[p]
+			sent := int(ctx[l.OutCountOff()])
+			for k := 0; k < sent; k++ {
+				dest := int(ctx[l.OutboxOff(k)])
+				if dest < lo || dest >= hi {
+					continue // went into a bucket in the handler pass
+				}
+				n := e.push(dest, p, ctx[l.OutboxOff(k)+1])
+				if n == 0 {
+					e.ovf[d] = overflow{ok: true, src: p, idx: k, dest: dest}
+					return
+				}
+				maxRecv = max(maxRecv, n)
+			}
+			ctx[l.OutCountOff()] = 0
 		}
 	}
-	maxRecv := 0
-	lo, hi := e.span(d)
-	for p := lo; p < hi; p++ {
-		maxRecv = max(maxRecv, int(e.ctxs[p][l.InCountOff()]))
-	}
 	e.recvMax[d] = maxRecv
+}
+
+// push appends the message (src, payload) to dest's inbox and returns
+// the inbox's new count, or 0 when the inbox is already full.
+func (e *shardEngine) push(dest, src int, payload Word) int {
+	l := e.prog.Layout
+	dctx := e.ctxs[dest]
+	count := l.InCountOff()
+	n := int(dctx[count])
+	if n >= l.MaxMsgs {
+		return 0
+	}
+	off := l.InboxOff(n)
+	dctx[off], dctx[off+1], dctx[count] = Word(src), payload, Word(n+1)
+	return n + 1
 }
 
 // RunSharded executes prog at the given shard count (<= 0 selects the
