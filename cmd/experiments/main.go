@@ -48,6 +48,7 @@ import (
 	"regexp"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -241,7 +242,7 @@ func main() {
 			}
 			fmt.Println("# Aggregate simulation metrics (all experiment runs)")
 			fmt.Println()
-			fmt.Println(obs.Report(withoutWallClock(reg)))
+			fmt.Println(obs.Report(withoutScrapeOnly(reg)))
 		}
 	}
 	fmt.Fprintf(os.Stderr, "experiments: %d jobs on %d workers in %v\n",
@@ -360,19 +361,21 @@ func fatal(format string, args ...any) {
 	os.Exit(1)
 }
 
-// wallClockMetric is the sweep engine's per-job wall-clock histogram.
-// It varies from run to run, so /metrics serves it but the stdout
-// report leaves it out: stdout stays byte-identical between runs.
-const wallClockMetric = "sweep.job.wall_ms"
+// scrapeOnly names the metrics /metrics serves but the stdout report
+// leaves out, so that stdout is byte-identical between runs and with
+// or without -serve: the sweep engine's per-job wall-clock histogram,
+// which varies from run to run, and the live sweep.Progress gauges,
+// which only a served run registers.
+var scrapeOnly = []string{"sweep.job.wall_ms", "sweep.eta_ms", "sweep.jobs.queued", "sweep.jobs.running"}
 
-// withoutWallClock copies reg without wallClockMetric, for the stdout
-// report. The copy renders the same bytes: every other histogram in reg
-// arrived by Import, so its sum is already the bucket-floor sum a
-// second Import reproduces.
-func withoutWallClock(reg *obs.Registry) *obs.Registry {
+// withoutScrapeOnly copies reg without the scrapeOnly metrics, for the
+// stdout report. The copy renders the same bytes: every other histogram
+// in reg arrived by Import, so its sum is already the bucket-floor sum
+// a second Import reproduces.
+func withoutScrapeOnly(reg *obs.Registry) *obs.Registry {
 	var kept []obs.Sample
 	for _, s := range reg.Snapshot() {
-		if s.Name != wallClockMetric {
+		if !slices.Contains(scrapeOnly, s.Name) {
 			kept = append(kept, s)
 		}
 	}

@@ -329,27 +329,50 @@ func TestMetricsReportReproducible(t *testing.T) {
 		t.Skip("spawns go build")
 	}
 	args := []string{"-quick", "-run=E0[34]", "-workers=1", "-metrics"}
-	first, _, code := runSelf(t, args...)
-	if code != 0 {
-		t.Fatalf("first run exited %d", code)
-	}
-	second, _, code := runSelf(t, args...)
-	if code != 0 {
-		t.Fatalf("second run exited %d", code)
-	}
-	if first != second {
-		a, b := strings.Split(first, "\n"), strings.Split(second, "\n")
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				t.Errorf("two identical -metrics runs differ at stdout line %d:\n first: %q\nsecond: %q", i+1, a[i], b[i])
-				break
-			}
-		}
-		if len(a) != len(b) {
-			t.Errorf("two identical -metrics runs print %d and %d stdout lines", len(a), len(b))
-		}
-	}
+	first := runOK(t, args...)
+	requireSameStdout(t, "two identical -metrics runs", first, runOK(t, args...))
 	if strings.Contains(first, "sweep.job.wall_ms") {
 		t.Error("stdout report includes the wall-clock sweep.job.wall_ms histogram")
 	}
+}
+
+// Serving leaves the -metrics report alone: the live sweep.Progress
+// gauges (sweep.eta_ms, sweep.jobs.queued, sweep.jobs.running) that
+// only a served run registers stay off stdout, so a run with -serve
+// prints the bytes a run without it does.
+func TestMetricsReportUnchangedByServe(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go build")
+	}
+	args := []string{"-quick", "-run=E0[34]", "-workers=1", "-metrics"}
+	plain := runOK(t, args...)
+	served := runOK(t, append(args, "-serve=127.0.0.1:0")...)
+	requireSameStdout(t, "-metrics runs with and without -serve", plain, served)
+}
+
+// runOK runs the binary and returns its stdout, failing the test on a
+// nonzero exit.
+func runOK(t *testing.T, args ...string) string {
+	t.Helper()
+	out, stderr, code := runSelf(t, args...)
+	if code != 0 {
+		t.Fatalf("%v exited %d:\n%s", args, code, stderr)
+	}
+	return out
+}
+
+// requireSameStdout reports the first differing line of two stdouts.
+func requireSameStdout(t *testing.T, what, a, b string) {
+	t.Helper()
+	if a == b {
+		return
+	}
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			t.Errorf("%s differ at stdout line %d:\n first: %q\nsecond: %q", what, i+1, al[i], bl[i])
+			return
+		}
+	}
+	t.Errorf("%s print %d and %d stdout lines", what, len(al), len(bl))
 }

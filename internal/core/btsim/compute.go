@@ -1,10 +1,6 @@
 package btsim
 
-import (
-	"repro/internal/bt"
-	"repro/internal/cost"
-	"repro/internal/dbsp"
-)
+import "repro/internal/cost"
 
 // compute simulates the local computation of superstep s for the
 // cluster of n blocks packed at the top of memory (processors
@@ -14,9 +10,7 @@ import (
 // the room the shifts and swaps need. Overhead is O(µ·n·c*(n)).
 func (st *state) compute(n int64, firstProc, s int) {
 	if n == 1 {
-		store := &btStore{m: st.m, base: 0}
-		c := dbsp.NewCtx(store, st.layout, firstProc, st.v, st.prog.Steps[s].Label)
-		st.prog.Steps[s].Run(c)
+		st.guest.Run(st.prog.Steps[s].Run, st.m.Machine, 0, firstProc, st.prog.Steps[s].Label)
 		return
 	}
 	mu := st.mu
@@ -43,14 +37,3 @@ func (st *state) swapChunk(j, c int64) {
 	st.m.CopyRange(j*c*mu, 0, c*mu)
 	st.m.CopyRange(c*mu, j*c*mu, c*mu)
 }
-
-// btStore adapts the host BT machine to the dbsp.Store interface for a
-// context staged at the top of memory.
-type btStore struct {
-	m    *bt.Machine
-	base int64
-}
-
-func (s *btStore) Load(off int) Word   { return s.m.Read(s.base + int64(off)) }
-func (s *btStore) Put(off int, v Word) { s.m.Write(s.base+int64(off), v) }
-func (s *btStore) Work(n int64)        { s.m.ChargeOps(n) }

@@ -38,6 +38,7 @@ func SimulateNaive(prog *dbsp.Program, f cost.Func) (*Result, error) {
 		procOf:    make([]int, v),
 		posOf:     make([]int, v),
 		directMax: directDeliveryMaxBlocks,
+		guest:     dbsp.NewGuest(prog.Layout, v),
 	}
 	for p := 0; p < v; p++ {
 		st.procOf[p] = p
@@ -49,7 +50,9 @@ func SimulateNaive(prog *dbsp.Program, f cost.Func) (*Result, error) {
 		if step.Run == nil {
 			continue
 		}
-		st.compute(int64(v), 0, s)
+		if err := st.guest.Catch(func() { st.compute(int64(v), 0, s) }); err != nil {
+			return nil, fmt.Errorf("btsim: naive: program %q superstep %d: %w", prog.Name, s, err)
+		}
 		st.dispatchDeliver(int64(v), 0, step.Transpose)
 	}
 	res := &Result{

@@ -100,6 +100,7 @@ type state struct {
 	check     bool
 	noRoute   bool
 	directMax int64
+	guest     *dbsp.Guest // runs every handler call of the run
 
 	// Observability (nil when Options.Obs is nil; all uses nil-safe).
 	obs           *obs.Observer
@@ -163,6 +164,7 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 		check:     opts.CheckInvariants,
 		noRoute:   opts.DisableRouteDelivery,
 		directMax: directThreshold(opts.DirectDeliveryMaxBlocks),
+		guest:     dbsp.NewGuest(prog.Layout, v),
 		frame:     "init",
 	}
 	for p := 0; p < v; p++ {
@@ -339,7 +341,11 @@ func (st *state) loop() error {
 		st.phase("pack", func() { st.pack(label) })
 		// Step 2: simulate the superstep.
 		if steps[s].Run != nil {
-			st.phase("compute", func() { st.compute(int64(csize), lo, s) })
+			var err error
+			st.phase("compute", func() { err = st.guest.Catch(func() { st.compute(int64(csize), lo, s) }) })
+			if err != nil {
+				return fmt.Errorf("btsim: program %q superstep %d: %w", st.prog.Name, s, err)
+			}
 			st.phase("deliver", func() { st.dispatchDeliver(int64(csize), lo, steps[s].Transpose) })
 		}
 		for q := lo; q < lo+csize; q++ {

@@ -2,9 +2,13 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/algos"
+	"repro/internal/core/btsim"
+	"repro/internal/core/hmmsim"
+	"repro/internal/core/selfsim"
 	"repro/internal/cost"
 	"repro/internal/dbsp"
 	"repro/internal/workload"
@@ -78,5 +82,51 @@ func TestFacadeErrorsPropagate(t *testing.T) {
 	}
 	if _, err := OnDBSP(bad, cost.Log{}, 2); err == nil {
 		t.Error("OnDBSP accepted an empty program")
+	}
+}
+
+// TestHandlerPanicIsError holds the engine and every simulator to one
+// failure mode: a handler that breaks the model — here a label-2
+// superstep sending across its 2-cluster boundary at v = 8 — makes the
+// run return an error naming the superstep and the processor, never
+// panic out of the caller. selfsim runs the step as a global step at
+// v′ = 8 and inside a local run at v′ = 2.
+func TestHandlerPanicIsError(t *testing.T) {
+	prog := &dbsp.Program{
+		Name:   "cross-cluster",
+		V:      8,
+		Layout: dbsp.Layout{Data: 1, MaxMsgs: 1},
+		Steps: []dbsp.Superstep{
+			{Label: 2, Run: func(c *dbsp.Ctx) { c.Send((c.ID()+4)%8, 1) }},
+			{Label: 0, Run: func(c *dbsp.Ctx) {}},
+		},
+	}
+	f := cost.Poly{Alpha: 0.5}
+	runs := []struct {
+		name string
+		run  func() error
+	}{
+		{"dbsp.Run", func() error { _, err := dbsp.Run(prog, f); return err }},
+		{"hmmsim.Simulate", func() error { _, err := hmmsim.Simulate(prog, f, nil); return err }},
+		{"hmmsim.SimulateNaive", func() error { _, err := hmmsim.SimulateNaive(prog, f); return err }},
+		{"btsim.Simulate", func() error { _, err := btsim.Simulate(prog, f, nil); return err }},
+		{"btsim.SimulateNaive", func() error { _, err := btsim.SimulateNaive(prog, f); return err }},
+		{"selfsim.Simulate v'=8", func() error { _, err := selfsim.Simulate(prog, f, 8, nil); return err }},
+		{"selfsim.Simulate v'=2", func() error { _, err := selfsim.Simulate(prog, f, 2, nil); return err }},
+	}
+	const want = "superstep 0: processor 0: handler panic: dbsp: proc 0: Send to 4 crosses"
+	for _, r := range runs {
+		var err error
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s panicked: %v", r.name, p)
+				}
+			}()
+			err = r.run()
+		}()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one containing %q", r.name, err, want)
+		}
 	}
 }

@@ -32,43 +32,16 @@ func SimulateNaive(prog *dbsp.Program, f cost.Func) (*Result, error) {
 		m.PokeRange(int64(p)*mu, ctx)
 	}
 
+	guest := dbsp.NewGuest(l, v)
 	for s, step := range prog.Steps {
 		if step.Run == nil {
 			continue
 		}
 		// Local computation, context in place at block p.
-		for p := 0; p < v; p++ {
-			store := &hmmStore{m: m, base: int64(p) * mu}
-			c := dbsp.NewCtx(store, l, p, v, step.Label)
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						panic(fmt.Sprintf("hmmsim: naive: superstep %d proc %d: %v", s, p, r))
-					}
-				}()
-				step.Run(c)
-			}()
+		if err := guest.RunBlocks(step.Run, m, 0, v, step.Label); err != nil {
+			return nil, fmt.Errorf("hmmsim: naive: program %q superstep %d: %w", prog.Name, s, err)
 		}
-		// Delivery: clear all inboxes, scan all outboxes in order.
-		for p := 0; p < v; p++ {
-			m.Write(int64(p)*mu+int64(l.InCountOff()), 0)
-		}
-		for p := 0; p < v; p++ {
-			base := int64(p) * mu
-			sent := m.Read(base + int64(l.OutCountOff()))
-			for e := int64(0); e < sent; e++ {
-				dest := m.Read(base + int64(l.OutboxOff(int(e))))
-				payload := m.Read(base + int64(l.OutboxOff(int(e))) + 1)
-				dbase := dest * mu
-				n := m.Read(dbase + int64(l.InCountOff()))
-				m.Write(dbase+int64(l.InboxOff(int(n))), int64(p))
-				m.Write(dbase+int64(l.InboxOff(int(n)))+1, payload)
-				m.Write(dbase+int64(l.InCountOff()), n+1)
-			}
-			if sent > 0 {
-				m.Write(base+int64(l.OutCountOff()), 0)
-			}
-		}
+		deliver(m, l, 0, v)
 	}
 
 	res := &Result{

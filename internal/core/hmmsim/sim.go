@@ -104,9 +104,9 @@ type state struct {
 	check    bool
 	layout   dbsp.Layout
 	procOff  int // global id of local processor 0
-	globalV  int // machine size presented to handlers
 	labelOff int
 	observer func(round int64, step, label int, procOfBlock []int)
+	guest    *dbsp.Guest // runs every handler call of the run
 
 	// Observability (all nil-safe; nil when opts.Obs is nil). The
 	// ledger's phases partition the cost: compute (handler work plus
@@ -210,9 +210,9 @@ func newState(m *hmm.Machine, run *dbsp.Program, layout dbsp.Layout, opts *Optio
 		check:    opts.CheckInvariants,
 		layout:   layout,
 		procOff:  opts.ProcOffset,
-		globalV:  globalV,
 		labelOff: opts.LabelOffset,
 		observer: opts.Observer,
+		guest:    dbsp.NewGuest(layout, globalV),
 	}
 	for p := 0; p < run.V; p++ {
 		st.posOf[p] = p
@@ -305,7 +305,9 @@ func (st *state) loop() error {
 
 		// Step 2: simulate superstep s for cluster C.
 		if steps[s].Run != nil {
-			st.simulateStep(s, lo, csize)
+			if err := st.simulateStep(s, lo, csize); err != nil {
+				return fmt.Errorf("hmmsim: program %q superstep %d: %w", st.prog.Name, s, err)
+			}
 		}
 		for q := lo; q < lo+csize; q++ {
 			st.sNext[q] = s + 1
@@ -339,11 +341,11 @@ func (st *state) loop() error {
 
 // simulateStep performs Step 2: local computation for each processor of
 // the cluster with its context brought to the top of memory, then the
-// message exchange by a sequential scan of the outboxes.
-func (st *state) simulateStep(s, lo, csize int) {
-	mu := st.mu
-	l := st.layout
-	frame := obs.LabelFrame(st.prog.Steps[s].Label)
+// message exchange by a sequential scan of the outboxes. A handler
+// panic ends the step with an error naming the processor.
+func (st *state) simulateStep(s, lo, csize int) error {
+	step := st.prog.Steps[s]
+	frame := obs.LabelFrame(step.Label)
 	mark := st.m.Cost()
 	// Local computation. The paper brings each context in turn to the
 	// top of memory; running the handler in place at block k is
@@ -351,39 +353,42 @@ func (st *state) simulateStep(s, lo, csize int) {
 	// the first µ·|C| cells, so each of the O(µ) handler operations
 	// costs at most f(µ·|C|) — and saves the 8µ swap accesses per
 	// processor per superstep that a literal bring-to-top would charge.
-	for k := 0; k < csize; k++ {
-		q := st.procOff + lo + k
-		store := &hmmStore{m: st.m, base: int64(k) * mu}
-		c := dbsp.NewCtx(store, l, q, st.globalV, st.labelOff+st.prog.Steps[s].Label)
-		st.prog.Steps[s].Run(c)
+	if err := st.guest.RunBlocks(step.Run, st.m, st.procOff+lo, csize, st.labelOff+step.Label); err != nil {
+		return err
 	}
 	now := st.m.Cost()
 	st.ledger.Charge(frame, "compute", now-mark)
-	// Message exchange. First clear the inbox counts (the dbsp
-	// engine's delivery semantics), then scan outboxes in ascending processor order and
-	// deliver each message by direct addressing — by Invariant 2 the
-	// context of processor q sits in block q-lo.
-	for k := 0; k < csize; k++ {
-		st.m.Write(int64(k)*mu+int64(l.InCountOff()), 0)
+	// By Invariant 2 the context of processor q sits in block q-lo.
+	deliver(st.m, st.layout, st.procOff+lo, csize)
+	st.ledger.Charge(frame, "deliver", st.m.Cost()-now)
+	return nil
+}
+
+// deliver exchanges the messages of processors first, …, first+n-1,
+// whose contexts sit at blocks 0, …, n-1 of m: it clears the inbox
+// counts (the dbsp engine's delivery semantics), then scans the outboxes
+// in ascending processor order, delivering by direct addressing.
+func deliver(m *hmm.Machine, l dbsp.Layout, first, n int) {
+	mu := int64(l.Mu())
+	for k := 0; k < n; k++ {
+		m.Write(int64(k)*mu+int64(l.InCountOff()), 0)
 	}
-	for k := 0; k < csize; k++ {
+	for k := 0; k < n; k++ {
 		base := int64(k) * mu
-		sent := st.m.Read(base + int64(l.OutCountOff()))
+		sent := m.Read(base + int64(l.OutCountOff()))
 		for e := int64(0); e < sent; e++ {
-			dest := st.m.Read(base + int64(l.OutboxOff(int(e))))
-			payload := st.m.Read(base + int64(l.OutboxOff(int(e))) + 1)
-			dblock := dest - int64(st.procOff) - int64(lo)
-			dbase := dblock * mu
-			n := st.m.Read(dbase + int64(l.InCountOff()))
-			st.m.Write(dbase+int64(l.InboxOff(int(n))), int64(st.procOff+lo+k))
-			st.m.Write(dbase+int64(l.InboxOff(int(n)))+1, payload)
-			st.m.Write(dbase+int64(l.InCountOff()), n+1)
+			dest := m.Read(base + int64(l.OutboxOff(int(e))))
+			payload := m.Read(base + int64(l.OutboxOff(int(e))) + 1)
+			dbase := (dest - int64(first)) * mu
+			count := m.Read(dbase + int64(l.InCountOff()))
+			m.Write(dbase+int64(l.InboxOff(int(count))), int64(first+k))
+			m.Write(dbase+int64(l.InboxOff(int(count)))+1, payload)
+			m.Write(dbase+int64(l.InCountOff()), count+1)
 		}
 		if sent > 0 {
-			st.m.Write(base+int64(l.OutCountOff()), 0)
+			m.Write(base+int64(l.OutCountOff()), 0)
 		}
 	}
-	st.ledger.Charge(frame, "deliver", st.m.Cost()-now)
 }
 
 // swapRegions exchanges the csize-block region at the top of memory
@@ -436,14 +441,3 @@ func (st *state) verifyInvariants(s, lo, csize int) error {
 	}
 	return nil
 }
-
-// hmmStore adapts the host HMM to the dbsp.Store interface for a
-// context at the top of memory.
-type hmmStore struct {
-	m    *hmm.Machine
-	base int64
-}
-
-func (s *hmmStore) Load(off int) Word   { return s.m.Read(s.base + int64(off)) }
-func (s *hmmStore) Put(off int, v Word) { s.m.Write(s.base+int64(off), v) }
-func (s *hmmStore) Work(n int64)        { s.m.ChargeOps(n) }

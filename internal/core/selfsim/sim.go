@@ -90,6 +90,8 @@ func Simulate(prog *dbsp.Program, g cost.Func, vPrime int, opts *Options) (*Resu
 		mu:      int64(prog.Mu()),
 		layout:  prog.Layout,
 		opts:    opts,
+		guest:   dbsp.NewGuest(prog.Layout, prog.V),
+		inbox:   make([][]message, vPrime),
 		obs:     opts.Obs,
 		ledger:  opts.Obs.Ledger("self", "local", "compute", "place", "comm"),
 	}
@@ -139,6 +141,8 @@ type sim struct {
 	layout  dbsp.Layout
 	opts    *Options
 	modules []*hmm.Machine
+	guest   *dbsp.Guest // runs every global step's handler calls
+	inbox   [][]message // per host, the guest messages a global step routes to it
 
 	moduleCost  float64
 	commCost    float64
@@ -188,6 +192,7 @@ func (s *sim) localRun(steps []dbsp.Superstep, first int) error {
 		Name:   s.prog.Name + "+local",
 		V:      s.perHost,
 		Layout: s.layout,
+		Steps:  make([]dbsp.Superstep, 0, len(steps)+1),
 	}
 	for _, st := range steps {
 		sub.Steps = append(sub.Steps, dbsp.Superstep{Label: st.Label - s.logvp, Run: st.Run})
@@ -246,21 +251,24 @@ func (s *sim) globalStep(st dbsp.Superstep, index int) error {
 	frame := obs.LabelFrame(st.Label)
 	l := s.layout
 	mu := s.mu
-	inbox := make([][]message, s.vPrime)
-	sent := make([]int, s.vPrime)
+	inbox := s.inbox
+	for j := range inbox {
+		inbox[j] = inbox[j][:0]
+	}
 
-	// Phase A: local computation and outbox collection, per host.
+	// Phase A: local computation and outbox collection, per host. h,
+	// the degree of the guest messages' h-relation, is the most one
+	// host sends or receives.
 	var maxDelta float64
+	h := 0
 	for j := 0; j < s.vPrime; j++ {
 		m := s.modules[j]
 		before := m.Cost()
-		for k := 0; k < s.perHost; k++ {
-			q := j*s.perHost + k
-			store := &moduleStore{m: m, base: int64(k) * mu}
-			c := dbsp.NewCtx(store, l, q, s.prog.V, st.Label)
-			st.Run(c)
+		if err := s.guest.RunBlocks(st.Run, m, j*s.perHost, s.perHost, st.Label); err != nil {
+			return fmt.Errorf("selfsim: program %q superstep %d: %w", s.prog.Name, index, err)
 		}
 		// Collect and clear the outboxes (charged module traffic).
+		sent := 0
 		for k := 0; k < s.perHost; k++ {
 			base := int64(k) * mu
 			n := m.Read(base + int64(l.OutCountOff()))
@@ -269,12 +277,13 @@ func (s *sim) globalStep(st dbsp.Superstep, index int) error {
 				payload := m.Read(base + int64(l.OutboxOff(int(e))) + 1)
 				dj := dest / s.perHost
 				inbox[dj] = append(inbox[dj], message{src: j*s.perHost + k, dest: dest, payload: payload})
-				sent[j]++
+				sent++
 			}
 			if n > 0 {
 				m.Write(base+int64(l.OutCountOff()), 0)
 			}
 		}
+		h = max(h, sent)
 		if d := m.Cost() - before; d > maxDelta {
 			maxDelta = d
 		}
@@ -283,16 +292,10 @@ func (s *sim) globalStep(st dbsp.Superstep, index int) error {
 	s.ledger.Charge(frame, "compute", maxDelta)
 
 	// Router charge: an h-relation of guest messages within i-clusters,
-	// h the max messages per host processor, each message a remote
-	// access of cost g(µ·v/2^i) (= g(µ_host·v′/2^i)).
-	h := 0
-	for j := 0; j < s.vPrime; j++ {
-		if sent[j] > h {
-			h = sent[j]
-		}
-		if len(inbox[j]) > h {
-			h = len(inbox[j])
-		}
+	// each message a remote access of cost g(µ·v/2^i)
+	// (= g(µ_host·v′/2^i)).
+	for _, in := range inbox {
+		h = max(h, len(in))
 	}
 	comm := float64(h) * dbsp.CommCost(s.g, s.layout.Mu(), s.prog.V, st.Label)
 	s.commCost += comm
@@ -331,14 +334,3 @@ func (s *sim) globalStep(st dbsp.Superstep, index int) error {
 	}
 	return nil
 }
-
-// moduleStore adapts one host memory module to the dbsp.Store
-// interface for a guest context at block base.
-type moduleStore struct {
-	m    *hmm.Machine
-	base int64
-}
-
-func (s *moduleStore) Load(off int) Word   { return s.m.Read(s.base + int64(off)) }
-func (s *moduleStore) Put(off int, v Word) { s.m.Write(s.base+int64(off), v) }
-func (s *moduleStore) Work(n int64)        { s.m.ChargeOps(n) }

@@ -12,11 +12,13 @@
 // h-relation (paper Section 2).
 //
 // The package provides the machine description, the superstep program
-// representation, the processor-context memory layout shared with the
-// sequential simulators, and one execution engine that multiplexes the
-// v processors over a few shards — one goroutine per shard per phase,
-// a barrier at each phase boundary — so that, as the paper's Theorem 10
-// has it, v processors run on far fewer physical ones.
+// representation, the processor-context layout and the handler context
+// (Ctx, over an engine slice or a window of a simulator's host
+// internal/hmm machine) shared with the sequential simulators, and one
+// execution engine that multiplexes the v processors over a few shards
+// — one goroutine per shard per phase, a barrier at each phase
+// boundary — so that, as the paper's Theorem 10 has it, v processors
+// run on far fewer physical ones.
 package dbsp
 
 import (

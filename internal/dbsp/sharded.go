@@ -115,12 +115,11 @@ type shardEngine struct {
 
 	// Handler-pass accumulators, one entry per shard: the shard's τ
 	// (max ops over its processors), its max messages sent by one
-	// processor, its first handler error and the processor that raised
-	// it. O(shards), not O(v), reduced after the barrier.
-	taus     []int64
-	sentMax  []int
-	errs     []error
-	errProcs []int
+	// processor and its first handler error, which names the processor
+	// that raised it. O(shards), not O(v), reduced after the barrier.
+	taus    []int64
+	sentMax []int
+	errs    []error
 
 	// Delivery-pass accumulators, one entry per shard.
 	recvMax []int // max messages received by one of the shard's processors
@@ -143,17 +142,16 @@ func newShardEngine(prog *Program, shards int) *shardEngine {
 	chunk := (prog.V + shards - 1) / shards
 	shards = (prog.V + chunk - 1) / chunk // drop shards the rounding left empty
 	e := &shardEngine{
-		prog:     prog,
-		ctxs:     newContextsChunked(prog, chunk),
-		chunk:    chunk,
-		shards:   shards,
-		taus:     make([]int64, shards),
-		errs:     make([]error, shards),
-		errProcs: make([]int, shards),
-		sentMax:  make([]int, shards),
-		recvMax:  make([]int, shards),
-		ovf:      make([]overflow, shards),
-		out:      make([][][]Word, shards),
+		prog:    prog,
+		ctxs:    newContextsChunked(prog, chunk),
+		chunk:   chunk,
+		shards:  shards,
+		taus:    make([]int64, shards),
+		errs:    make([]error, shards),
+		sentMax: make([]int, shards),
+		recvMax: make([]int, shards),
+		ovf:     make([]overflow, shards),
+		out:     make([][][]Word, shards),
 	}
 	for s := range e.out {
 		e.out[s] = make([][]Word, shards)
@@ -202,7 +200,7 @@ func (e *shardEngine) runStep(st Superstep, collect func(), verify bool) (StepCo
 			// Ascending shards own ascending processor ranges, so the
 			// first erroring shard holds the lowest erroring
 			// processor, whatever the shard count.
-			return sc, fmt.Errorf("processor %d: %w", e.errProcs[s], err)
+			return sc, err
 		}
 		sc.Tau = max(sc.Tau, e.taus[s])
 	}
@@ -226,17 +224,17 @@ func (e *shardEngine) runStep(st Superstep, collect func(), verify bool) (StepCo
 
 // handleShard is the handler pass for shard s. It walks the shard's
 // processors in ascending order, folding ops and sent counts into
-// shard-local maxima — the hot loop touches no shared slice. One store
-// and one Ctx serve all of the shard's processors, reset per processor:
-// a handler cannot keep its Ctx (stepconfine rejects a Run closure that
-// writes a captured variable), so the reuse is unobservable and saves
-// two heap objects per processor per superstep. Right after a
-// processor's handler returns, its inbox count is cleared (inboxes are
-// written only in the delivery pass, after the barrier) and its
-// messages to other shards are appended to the shard's buckets; its
-// outbox keeps every message, for the observers and for the delivery
-// pass to read in place. A handler panic — the way Ctx reports a model
-// violation — stops the shard and is recorded against the processor
+// shard-local maxima — the hot loop touches no shared slice. One Ctx
+// serves all of the shard's processors, reset per processor: a handler
+// cannot keep its Ctx (stepconfine rejects a Run closure that writes a
+// captured variable), so the reuse is unobservable and saves a heap
+// object per processor per superstep. Right after a processor's
+// handler returns, its inbox count is cleared (inboxes are written only
+// in the delivery pass, after the barrier) and its messages to other
+// shards are appended to the shard's buckets; its outbox keeps every
+// message, for the observers and for the delivery pass to read in
+// place. A handler panic — the way Ctx reports a model violation —
+// stops the shard and is recorded as an error naming the processor
 // that raised it.
 func (e *shardEngine) handleShard(s, label int, run func(*Ctx)) {
 	l := e.prog.Layout
@@ -245,22 +243,16 @@ func (e *shardEngine) handleShard(s, label int, run func(*Ctx)) {
 	for d := range buckets {
 		buckets[d] = buckets[d][:0]
 	}
-	store := &sliceStore{}
-	c := &Ctx{st: store, layout: l, v: e.prog.V, label: label}
+	c := &Ctx{layout: l, v: e.prog.V, label: label}
 	var tau int64
 	maxSent := 0
 	e.errs[s] = nil
-	p := lo
-	defer func() {
-		if r := recover(); r != nil {
-			e.errs[s], e.errProcs[s] = fmt.Errorf("handler panic: %v", r), p
-		}
-	}()
-	for ; p < hi; p++ {
+	defer c.catch(&e.errs[s])
+	for p := lo; p < hi; p++ {
 		ctx := e.ctxs[p]
-		store.mem, store.ops, c.id = ctx, 0, p
+		c.mem, c.ops, c.id = ctx, 0, p
 		run(c)
-		tau = max(tau, store.ops)
+		tau = max(tau, c.ops)
 		ctx[l.InCountOff()] = 0
 		sent := int(ctx[l.OutCountOff()])
 		maxSent = max(maxSent, sent)

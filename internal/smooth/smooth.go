@@ -34,10 +34,6 @@ func Smooth(prog *dbsp.Program, labels []int) (*dbsp.Program, error) {
 	if err := ValidateLabels(labels, prog.LogV()); err != nil {
 		return nil, fmt.Errorf("smooth: program %q: %w", prog.Name, err)
 	}
-	idx := make(map[int]int, len(labels))
-	for k, l := range labels {
-		idx[l] = k
-	}
 	// downgrade[i] = index in L of the largest label <= i.
 	downgrade := make([]int, prog.LogV()+1)
 	k := 0
@@ -48,20 +44,26 @@ func Smooth(prog *dbsp.Program, labels []int) (*dbsp.Program, error) {
 		downgrade[i] = k
 	}
 
+	// Size the output once: every superstep, plus the dummies before
+	// each one that descends more than one L-level.
+	n, prev := len(prog.Steps), -1 // prev: L-index of the previous superstep
+	for _, st := range prog.Steps {
+		n += max(0, prev-1-downgrade[st.Label])
+		prev = downgrade[st.Label]
+	}
 	out := &dbsp.Program{
 		Name:   prog.Name + "+smooth",
 		V:      prog.V,
 		Layout: prog.Layout,
 		Init:   prog.Init,
+		Steps:  make([]dbsp.Superstep, 0, n),
 	}
-	prev := -1 // L-index of the previous emitted superstep
+	prev = -1
 	for _, st := range prog.Steps {
 		cur := downgrade[st.Label]
 		// Insert dummies to descend one L-level at a time.
-		if prev >= 0 && cur < prev-1 {
-			for d := prev - 1; d > cur; d-- {
-				out.Steps = append(out.Steps, dbsp.Superstep{Label: labels[d], Run: nil})
-			}
+		for d := prev - 1; d > cur; d-- {
+			out.Steps = append(out.Steps, dbsp.Superstep{Label: labels[d], Run: nil})
 		}
 		out.Steps = append(out.Steps, dbsp.Superstep{Label: labels[cur], Run: st.Run, Transpose: st.Transpose})
 		prev = cur
