@@ -23,6 +23,7 @@ import (
 	"repro/internal/dbsp"
 	"repro/internal/experiments"
 	"repro/internal/hmm"
+	"repro/internal/obs"
 	"repro/internal/progtest"
 	"repro/internal/sweep"
 	"repro/internal/workload"
@@ -311,4 +312,44 @@ func BenchmarkE17RouteDelivery(b *testing.B) {
 		last = res
 	}
 	reportBT(b, last)
+}
+
+// BenchmarkObserveOverhead times hmmsim and btsim on algos.Sort(1024)
+// under x^0.5 (not a paper experiment), plain and with a fresh registry
+// observing each run: the gap between the two is what observation adds
+// to the run it measures.
+func BenchmarkObserveOverhead(b *testing.B) {
+	prog := algos.Sort(1024, workload.KeyFunc(31, 1024, 1024))
+	sims := []struct {
+		name string
+		run  func(o *obs.Observer) error
+	}{
+		{"hmmsim", func(o *obs.Observer) error {
+			_, err := hmmsim.Simulate(prog, alphaHalf, &hmmsim.Options{Obs: o})
+			return err
+		}},
+		{"btsim", func(o *obs.Observer) error {
+			_, err := btsim.Simulate(prog, alphaHalf, &btsim.Options{Obs: o})
+			return err
+		}},
+	}
+	for _, sim := range sims {
+		for _, observed := range []bool{false, true} {
+			name := sim.name + "/plain"
+			if observed {
+				name = sim.name + "/observed"
+			}
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					var o *obs.Observer
+					if observed {
+						o = obs.New(obs.NewRegistry(), nil)
+					}
+					if err := sim.run(o); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

@@ -13,9 +13,11 @@ package bt
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cost"
 	"repro/internal/hmm"
+	"repro/internal/obs"
 )
 
 // Word is the unit of BT storage.
@@ -31,6 +33,9 @@ type BlockStats struct {
 	// Cost is the model time charged to block transfers alone:
 	// Σ (max(f(x), f(y)) + b).
 	Cost float64
+	// Sizes[k] counts the transfers whose length b has bit-length k
+	// (obs.BucketOf(b)): the block-size profile Observe publishes.
+	Sizes [hmm.DepthBuckets]int64
 }
 
 // Machine is an f(x)-BT machine. It embeds an f(x)-HMM, so all word
@@ -39,11 +44,6 @@ type BlockStats struct {
 type Machine struct {
 	*hmm.Machine
 	blocks BlockStats
-	// TraceBlock, when non-nil, is invoked for every BlockCopy with the
-	// source end, destination end, and length (the model's (x, y, b)).
-	// Observability uses it for block-size histograms; the word-level
-	// Trace hook of the embedded HMM never sees pipelined transfers.
-	TraceBlock func(x, y, b int64)
 }
 
 // New returns an f(x)-BT machine with size words of zeroed memory.
@@ -53,6 +53,26 @@ func New(f cost.Func, size int64) *Machine {
 
 // BlockStats returns a copy of the block-transfer statistics.
 func (m *Machine) BlockStats() BlockStats { return m.blocks }
+
+// Observe extends the embedded HMM's Observe with the block-transfer
+// accounting: the returned publish, called after the run, also adds
+// <sim>.blocks.copies, .moved and .cost, and loads the block-size
+// histogram <sim>.blocks.words from BlockStats.Sizes with the exact
+// sum BlockStats.Words. With a nil o, publish does nothing.
+func (m *Machine) Observe(o *obs.Observer, sim string, l *obs.Ledger) (publish func()) {
+	publishHMM := m.Machine.Observe(o, sim, l)
+	if o == nil {
+		return publishHMM
+	}
+	return func() {
+		publishHMM()
+		bs := m.blocks
+		o.Counter(sim + ".blocks.copies").Add(bs.Copies)
+		o.Counter(sim + ".blocks.moved").Add(bs.Words)
+		o.FloatCounter(sim + ".blocks.cost").Add(bs.Cost)
+		o.Histogram(sim+".blocks.words").AddBuckets(bs.Sizes[:], bs.Words)
+	}
+}
 
 // ResetStats zeroes both HMM and block-transfer accounting.
 func (m *Machine) ResetStats() {
@@ -87,9 +107,7 @@ func (m *Machine) BlockCopy(x, y, b int64) {
 	m.blocks.Copies++
 	m.blocks.Words += b
 	m.blocks.Cost += c + float64(b)
-	if m.TraceBlock != nil {
-		m.TraceBlock(x, y, b)
-	}
+	m.blocks.Sizes[bits.Len64(uint64(b))]++
 	// Move the words without per-word charges or per-copy allocation:
 	// the transfer is pipelined and already paid for above.
 	m.CopyUncharged(srcLo, dstLo, b)

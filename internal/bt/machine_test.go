@@ -2,10 +2,12 @@ package bt
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cost"
+	"repro/internal/obs"
 )
 
 func TestBlockCopyMovesWords(t *testing.T) {
@@ -35,6 +37,49 @@ func TestBlockCopyCost(t *testing.T) {
 	bs := m.BlockStats()
 	if bs.Copies != 1 || bs.Words != 50 || math.Abs(bs.Cost-want) > 1e-9 {
 		t.Errorf("BlockStats = %+v, want 1 copy, 50 words, cost %g", bs, want)
+	}
+}
+
+// TestObservePublishesBlocks: Observe publishes the block accounting
+// after the run. The bt.blocks.words histogram loaded from
+// BlockStats.Sizes equals one that observed every transfer length, with
+// the exact sum; the embedded HMM's accounting is published too, and a
+// nil observer publishes nothing.
+func TestObservePublishesBlocks(t *testing.T) {
+	m := New(cost.Poly{Alpha: 0.5}, 4096)
+	m.Observe(nil, "bt", nil)()
+	reg := obs.NewRegistry()
+	o := obs.New(reg, nil)
+	publish := m.Observe(o, "bt", o.Ledger("bt"))
+	var want obs.Histogram
+	for _, b := range []int64{3, 5, 1000, 1, 5, 64} {
+		m.CopyRange(0, 2048, b)
+		want.Observe(b)
+	}
+	m.Read(7)
+	publish()
+
+	bs := m.BlockStats()
+	h := reg.Histogram("bt.blocks.words")
+	if h.Count() != bs.Copies || h.Sum() != bs.Words || bs.Words != 1078 ||
+		!reflect.DeepEqual(h.Buckets(), want.Buckets()) {
+		t.Errorf("bt.blocks.words: count %d sum %d buckets %v; want %d, %d (= 1078), %v",
+			h.Count(), h.Sum(), h.Buckets(), bs.Copies, bs.Words, want.Buckets())
+	}
+	if got := reg.Counter("bt.blocks.copies").Value(); got != 6 {
+		t.Errorf("bt.blocks.copies = %d, want 6", got)
+	}
+	if got := reg.Counter("bt.blocks.moved").Value(); got != bs.Words {
+		t.Errorf("bt.blocks.moved = %d, want %d", got, bs.Words)
+	}
+	if got := reg.FloatCounter("bt.blocks.cost").Value(); got != bs.Cost {
+		t.Errorf("bt.blocks.cost = %v, want %v", got, bs.Cost)
+	}
+	if got := reg.FloatCounter("bt.cost.total").Value(); got != m.Cost() {
+		t.Errorf("bt.cost.total = %v, want %v", got, m.Cost())
+	}
+	if got := reg.Counter("bt.reads").Value(); got != 1 {
+		t.Errorf("bt.reads = %d, want 1", got)
 	}
 }
 
@@ -155,8 +200,8 @@ func TestResetStatsClearsBlocks(t *testing.T) {
 	m := New(cost.Const{C: 1}, 32)
 	m.BlockCopy(3, 19, 4)
 	m.ResetStats()
-	if m.Cost() != 0 || m.BlockStats().Copies != 0 {
-		t.Error("ResetStats did not clear block stats")
+	if m.Cost() != 0 || m.BlockStats() != (BlockStats{}) {
+		t.Errorf("ResetStats left block stats %+v", m.BlockStats())
 	}
 }
 

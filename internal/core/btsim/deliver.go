@@ -92,26 +92,25 @@ func deliveryFootprint(f cost.Func, mu, q, n int64) int64 {
 // dispatchDeliver chooses the delivery strategy: nothing without
 // message buffers, word-level for constant-size clusters, the riffle
 // routing of route.go for declared transposes, and the sorting pipeline
-// otherwise.
-func (st *state) dispatchDeliver(n int64, lo int, tr *dbsp.TransposeRoute) {
+// otherwise. An inbox overflow is the engine's overflow error.
+func (st *state) dispatchDeliver(n int64, lo int, tr *dbsp.TransposeRoute) error {
 	if st.layout.MaxMsgs == 0 {
-		return
+		return nil
 	}
 	if n <= st.directMax {
-		st.deliverDirect(n, lo)
-		return
+		return st.deliverDirect(n, lo)
 	}
 	if tr != nil && !st.noRoute {
 		st.routeDeliver(n, lo, tr)
-		return
+		return nil
 	}
-	st.deliver(n, lo)
+	return st.deliver(n, lo)
 }
 
 // deliver performs the sorting-based message exchange of the current
 // superstep for the cluster of n blocks packed at the top (processors
 // lo..lo+n-1).
-func (st *state) deliver(n int64, lo int) {
+func (st *state) deliver(n int64, lo int) error {
 	mu := st.mu
 	p := st.planDelivery(n)
 
@@ -151,11 +150,15 @@ func (st *state) deliver(n int64, lo int) {
 	})
 
 	// Phase 3: merge the sorted records into the destination inboxes.
+	var err error
 	st.phase("deliver.merge", func() {
 		if msgs > 0 {
-			st.mergeInboxes(&p, n, lo, msgs)
+			err = st.mergeInboxes(&p, n, lo, msgs)
 		}
 	})
+	if err != nil {
+		return err
+	}
 
 	// Move the cluster back to the top and undo the space juggling.
 	st.phase("deliver.juggle", func() {
@@ -170,6 +173,7 @@ func (st *state) deliver(n int64, lo int) {
 			st.pack(label)
 		}
 	})
+	return nil
 }
 
 // alignSlack pads the sibling shift so the gap strictly covers the
@@ -184,8 +188,9 @@ const directDeliveryMaxBlocks = 8
 // a cluster of n <= directDeliveryMaxBlocks blocks packed at the top:
 // every touched address is below n·µ = O(µ), so each access costs O(1).
 // The discipline matches the dbsp engine's exchange: clear inboxes,
-// deliver in ascending sender order, clear outboxes.
-func (st *state) deliverDirect(n int64, lo int) {
+// deliver in ascending sender order, clear outboxes; the first message
+// to find its inbox full is the engine's overflow error.
+func (st *state) deliverDirect(n int64, lo int) error {
 	mu := st.mu
 	l := st.layout
 	for b := int64(0); b < n; b++ {
@@ -199,6 +204,9 @@ func (st *state) deliverDirect(n int64, lo int) {
 			payload := st.m.Read(base + int64(l.OutboxOff(int(e))) + 1)
 			dbase := (dest - int64(lo)) * mu
 			cnt := st.m.Read(dbase + int64(l.InCountOff()))
+			if cnt >= int64(l.MaxMsgs) {
+				return l.InboxOverflow(int(dest))
+			}
 			st.m.Write(dbase+int64(l.InboxOff(int(cnt))), int64(lo)+b)
 			st.m.Write(dbase+int64(l.InboxOff(int(cnt)))+1, payload)
 			st.m.Write(dbase+int64(l.InCountOff()), cnt+1)
@@ -207,6 +215,7 @@ func (st *state) deliverDirect(n int64, lo int) {
 			st.m.Write(base+int64(l.OutCountOff()), 0)
 		}
 	}
+	return nil
 }
 
 // levelOfSize returns the label whose clusters have n blocks.
@@ -276,8 +285,11 @@ func (st *state) extract(p *deliveryPlan, n int64, lo int) int64 {
 
 // mergeInboxes streams the contexts a second time in lockstep with the
 // sorted records, writing each destination's message count and entries
-// into its inbox.
-func (st *state) mergeInboxes(p *deliveryPlan, n int64, lo int, msgs int64) {
+// into its inbox. Messages past an inbox's capacity are dropped and the
+// merge returns the engine's overflow error for the inbox whose
+// overflowing message comes first in the engine's scan order: the
+// least extraction index, the low part of the tag.
+func (st *state) mergeInboxes(p *deliveryPlan, n int64, lo int, msgs int64) error {
 	mu := st.mu
 	l := st.layout
 	q := int64(l.MaxMsgs)
@@ -288,23 +300,24 @@ func (st *state) mergeInboxes(p *deliveryPlan, n int64, lo int, msgs int64) {
 
 	inCountOff := int64(l.InCountOff())
 	firstIn := int64(l.InboxOff(0))
+	ovfIdx, ovfDest := int64(-1), int64(0)
 	for b := int64(0); b < n; b++ {
 		dest := int64(lo) + b
 		// Collect this destination's messages into the hot stash.
 		cnt := int64(0)
 		for rr.More() && rr.Peek()/(p.mcap+1) == dest {
-			rr.Next() // tag
+			tag := rr.Next()
 			src := rr.Next()
 			payload := rr.Next()
 			if cnt < q {
 				st.m.Write(stash+2*cnt, src)
 				st.m.Write(stash+2*cnt+1, payload)
+			} else if idx := tag % (p.mcap + 1); ovfIdx < 0 || idx < ovfIdx {
+				ovfIdx, ovfDest = idx, dest
 			}
 			cnt++
 		}
-		if cnt > q {
-			panic("btsim: inbox overflow during delivery")
-		}
+		cnt = min(cnt, q)
 		// Stream the context through, splicing in the inbox: the data
 		// prefix and the tail after the spliced entries are bulk pipes;
 		// the inbox words themselves interleave a stash read per word
@@ -322,4 +335,8 @@ func (st *state) mergeInboxes(p *deliveryPlan, n int64, lo int, msgs int64) {
 	if rr.More() {
 		panic("btsim: undelivered messages after merge")
 	}
+	if ovfIdx >= 0 {
+		return l.InboxOverflow(int(ovfDest))
+	}
+	return nil
 }

@@ -50,10 +50,13 @@ func SimulateNaive(prog *dbsp.Program, f cost.Func) (*Result, error) {
 		if step.Run == nil {
 			continue
 		}
-		if err := st.guest.Catch(func() { st.compute(int64(v), 0, s) }); err != nil {
+		err := st.guest.Catch(func() { st.compute(int64(v), 0, s) })
+		if err == nil {
+			err = st.dispatchDeliver(int64(v), 0, step.Transpose)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("btsim: naive: program %q superstep %d: %w", prog.Name, s, err)
 		}
-		st.dispatchDeliver(int64(v), 0, step.Transpose)
 	}
 	res := &Result{
 		Machine:       m,

@@ -76,14 +76,19 @@ func TestObservedCostAttribution(t *testing.T) {
 		t.Errorf("bt.sort.comparisons = %d, want > 0", got)
 	}
 
-	// The block-size histogram observes every transfer once and its sum
-	// is the total words moved.
+	// The block-size histogram counts every transfer once, by the
+	// machine's size buckets, and its sum is exactly the words moved.
 	h := reg.Histogram("bt.blocks.words")
 	if h.Count() != res.Blocks.Copies {
 		t.Errorf("histogram count = %d, want %d copies", h.Count(), res.Blocks.Copies)
 	}
 	if h.Sum() != res.Blocks.Words {
-		t.Errorf("histogram sum = %d, want %d words", h.Sum(), res.Blocks.Words)
+		t.Errorf("histogram sum = %d, want exactly %d words", h.Sum(), res.Blocks.Words)
+	}
+	for k, n := range h.Buckets() {
+		if n != res.Blocks.Sizes[k] {
+			t.Errorf("histogram bucket %d = %d, want %d", k, n, res.Blocks.Sizes[k])
+		}
 	}
 
 	// Level accesses mirror the depth profile (word accesses only;

@@ -171,9 +171,6 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 		st.procOf[p] = p
 		st.posOf[p] = p
 	}
-	// The block-size profile is recomputed through the machine's trace
-	// hook so the always-on accounting pays nothing when observability
-	// is off.
 	if o := opts.Obs; o != nil {
 		st.obs = o
 		// Each phase registers at its first charge.
@@ -185,8 +182,6 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 		for l := range st.roundsByLabel {
 			st.roundsByLabel[l] = o.Counter(fmt.Sprintf("bt.rounds.label.%d", l))
 		}
-		blockHist := o.Histogram("bt.blocks.words")
-		m.TraceBlock = func(_, _, b int64) { blockHist.Observe(b) }
 	}
 	publish := m.Observe(opts.Obs, "bt", st.ledger)
 	// Round-start invariant: memory fully unpacked (Figure 5, line 0).
@@ -197,14 +192,7 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 	}
 
 	publish()
-	if o := opts.Obs; o != nil {
-		m.TraceBlock = nil
-		bs := m.BlockStats()
-		o.Counter("bt.blocks.copies").Add(bs.Copies)
-		o.Counter("bt.blocks.moved").Add(bs.Words)
-		o.FloatCounter("bt.blocks.cost").Add(bs.Cost)
-		o.Gauge("bt.steps.smoothed").Set(int64(len(run.Steps)))
-	}
+	opts.Obs.Gauge("bt.steps.smoothed").Set(int64(len(run.Steps)))
 
 	res := &Result{
 		Machine:       m,
@@ -343,10 +331,12 @@ func (st *state) loop() error {
 		if steps[s].Run != nil {
 			var err error
 			st.phase("compute", func() { err = st.guest.Catch(func() { st.compute(int64(csize), lo, s) }) })
+			if err == nil {
+				st.phase("deliver", func() { err = st.dispatchDeliver(int64(csize), lo, steps[s].Transpose) })
+			}
 			if err != nil {
 				return fmt.Errorf("btsim: program %q superstep %d: %w", st.prog.Name, s, err)
 			}
-			st.phase("deliver", func() { st.dispatchDeliver(int64(csize), lo, steps[s].Transpose) })
 		}
 		for q := lo; q < lo+csize; q++ {
 			st.sNext[q] = s + 1

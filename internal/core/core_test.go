@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -127,6 +128,84 @@ func TestHandlerPanicIsError(t *testing.T) {
 		}()
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %v, want one containing %q", r.name, err, want)
+		}
+	}
+}
+
+// TestInboxOverflowIsError holds the engine and every simulator to one
+// overflow report. Under MaxMsgs = 2, a label-0 superstep sends three
+// messages to one processor; every path must return an error naming
+// the superstep, the processor and MaxMsgs, never write past the inbox
+// or panic. When two inboxes overflow, the report names the one whose
+// overflowing message comes first in ascending (sender, entry) order,
+// as in the engine, not the lower processor. v = 8 delivers word by
+// word (hmmsim; btsim's direct delivery), v = 64 through btsim's
+// sorting delivery. selfsim runs the step as a global step at v′ = 4
+// and inside a local run (hmmsim's delivery) at v′ = 1.
+func TestInboxOverflowIsError(t *testing.T) {
+	f := cost.Poly{Alpha: 0.5}
+	cases := []struct {
+		name string
+		dest func(id int) int // -1: no message
+		want int              // the processor the report names
+	}{
+		{"three to 0", func(id int) int {
+			if id < 3 {
+				return 0
+			}
+			return -1
+		}, 0},
+		// Senders 0–2 fill processor 5 first; 3, 4 and 6 overflow 1 later.
+		{"5 before 1", func(id int) int {
+			switch id {
+			case 0, 1, 2:
+				return 5
+			case 3, 4, 6:
+				return 1
+			}
+			return -1
+		}, 5},
+	}
+	for _, v := range []int{8, 64} {
+		for _, tc := range cases {
+			dest := tc.dest
+			prog := &dbsp.Program{
+				Name:   "overflow",
+				V:      v,
+				Layout: dbsp.Layout{Data: 1, MaxMsgs: 2},
+				Steps: []dbsp.Superstep{{Label: 0, Run: func(c *dbsp.Ctx) {
+					if d := dest(c.ID()); d >= 0 {
+						c.Send(d, int64(c.ID()))
+					}
+				}}},
+			}
+			runs := []struct {
+				name string
+				run  func() error
+			}{
+				{"dbsp.Run", func() error { _, err := dbsp.Run(prog, f); return err }},
+				{"hmmsim.Simulate", func() error { _, err := hmmsim.Simulate(prog, f, nil); return err }},
+				{"hmmsim.SimulateNaive", func() error { _, err := hmmsim.SimulateNaive(prog, f); return err }},
+				{"btsim.Simulate", func() error { _, err := btsim.Simulate(prog, f, nil); return err }},
+				{"btsim.SimulateNaive", func() error { _, err := btsim.SimulateNaive(prog, f); return err }},
+				{"selfsim.Simulate v'=4", func() error { _, err := selfsim.Simulate(prog, f, 4, nil); return err }},
+				{"selfsim.Simulate v'=1", func() error { _, err := selfsim.Simulate(prog, f, 1, nil); return err }},
+			}
+			want := fmt.Sprintf("superstep 0: inbox overflow at processor %d (MaxMsgs=2)", tc.want)
+			for _, r := range runs {
+				var err error
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Errorf("v=%d %s: %s panicked: %v", v, tc.name, r.name, p)
+						}
+					}()
+					err = r.run()
+				}()
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("v=%d %s: %s: error %v, want one containing %q", v, tc.name, r.name, err, want)
+				}
+			}
 		}
 	}
 }

@@ -38,10 +38,13 @@ func SimulateNaive(prog *dbsp.Program, f cost.Func) (*Result, error) {
 			continue
 		}
 		// Local computation, context in place at block p.
-		if err := guest.RunBlocks(step.Run, m, 0, v, step.Label); err != nil {
+		err := guest.RunBlocks(step.Run, m, 0, v, step.Label)
+		if err == nil {
+			err = deliver(m, l, 0, v)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("hmmsim: naive: program %q superstep %d: %w", prog.Name, s, err)
 		}
-		deliver(m, l, 0, v)
 	}
 
 	res := &Result{

@@ -342,7 +342,8 @@ func (st *state) loop() error {
 // simulateStep performs Step 2: local computation for each processor of
 // the cluster with its context brought to the top of memory, then the
 // message exchange by a sequential scan of the outboxes. A handler
-// panic ends the step with an error naming the processor.
+// panic or an inbox overflow ends the step with an error naming the
+// processor.
 func (st *state) simulateStep(s, lo, csize int) error {
 	step := st.prog.Steps[s]
 	frame := obs.LabelFrame(step.Label)
@@ -359,7 +360,9 @@ func (st *state) simulateStep(s, lo, csize int) error {
 	now := st.m.Cost()
 	st.ledger.Charge(frame, "compute", now-mark)
 	// By Invariant 2 the context of processor q sits in block q-lo.
-	deliver(st.m, st.layout, st.procOff+lo, csize)
+	if err := deliver(st.m, st.layout, st.procOff+lo, csize); err != nil {
+		return err
+	}
 	st.ledger.Charge(frame, "deliver", st.m.Cost()-now)
 	return nil
 }
@@ -367,8 +370,10 @@ func (st *state) simulateStep(s, lo, csize int) error {
 // deliver exchanges the messages of processors first, …, first+n-1,
 // whose contexts sit at blocks 0, …, n-1 of m: it clears the inbox
 // counts (the dbsp engine's delivery semantics), then scans the outboxes
-// in ascending processor order, delivering by direct addressing.
-func deliver(m *hmm.Machine, l dbsp.Layout, first, n int) {
+// in ascending processor order, delivering by direct addressing. A
+// message that finds its inbox full ends the exchange with the engine's
+// overflow error: the scan meets the overflows in the engine's order.
+func deliver(m *hmm.Machine, l dbsp.Layout, first, n int) error {
 	mu := int64(l.Mu())
 	for k := 0; k < n; k++ {
 		m.Write(int64(k)*mu+int64(l.InCountOff()), 0)
@@ -381,6 +386,9 @@ func deliver(m *hmm.Machine, l dbsp.Layout, first, n int) {
 			payload := m.Read(base + int64(l.OutboxOff(int(e))) + 1)
 			dbase := (dest - int64(first)) * mu
 			count := m.Read(dbase + int64(l.InCountOff()))
+			if count >= int64(l.MaxMsgs) {
+				return l.InboxOverflow(int(dest))
+			}
 			m.Write(dbase+int64(l.InboxOff(int(count))), int64(first+k))
 			m.Write(dbase+int64(l.InboxOff(int(count)))+1, payload)
 			m.Write(dbase+int64(l.InCountOff()), count+1)
@@ -389,6 +397,7 @@ func deliver(m *hmm.Machine, l dbsp.Layout, first, n int) {
 			m.Write(base+int64(l.OutCountOff()), 0)
 		}
 	}
+	return nil
 }
 
 // swapRegions exchanges the csize-block region at the top of memory

@@ -232,10 +232,11 @@ func (s *sim) localRun(steps []dbsp.Superstep, first int) error {
 	return nil
 }
 
-// message is an in-flight guest message routed between host processors.
+// message is an in-flight guest message routed between host processors;
+// entry is its index in src's outbox.
 type message struct {
-	src, dest int
-	payload   Word
+	src, entry, dest int
+	payload          Word
 }
 
 // globalStep simulates one superstep with label < log v′: local
@@ -276,7 +277,7 @@ func (s *sim) globalStep(st dbsp.Superstep, index int) error {
 				dest := int(m.Read(base + int64(l.OutboxOff(int(e)))))
 				payload := m.Read(base + int64(l.OutboxOff(int(e))) + 1)
 				dj := dest / s.perHost
-				inbox[dj] = append(inbox[dj], message{src: j*s.perHost + k, dest: dest, payload: payload})
+				inbox[dj] = append(inbox[dj], message{src: j*s.perHost + k, entry: int(e), dest: dest, payload: payload})
 				sent++
 			}
 			if n > 0 {
@@ -302,8 +303,12 @@ func (s *sim) globalStep(st dbsp.Superstep, index int) error {
 	s.ledger.Charge(frame, "comm", comm)
 
 	// Phase B (the log v′-superstep): clear every inbox and place the
-	// received messages, in ascending global sender order.
+	// received messages, in ascending global sender order. A message
+	// that finds its inbox full is dropped, and the step fails naming
+	// the inbox whose overflow comes first in ascending (src, entry)
+	// order, the order the engine's scan meets them in.
 	maxDelta = 0
+	ovf := message{dest: -1}
 	for j := 0; j < s.vPrime; j++ {
 		m := s.modules[j]
 		before := m.Cost()
@@ -316,7 +321,10 @@ func (s *sim) globalStep(st dbsp.Superstep, index int) error {
 			dbase := int64(msg.dest-j*s.perHost) * mu
 			n := m.Read(dbase + int64(l.InCountOff()))
 			if int(n) >= l.MaxMsgs {
-				return fmt.Errorf("selfsim: inbox overflow at guest %d", msg.dest)
+				if ovf.dest < 0 || msg.src < ovf.src || (msg.src == ovf.src && msg.entry < ovf.entry) {
+					ovf = msg
+				}
+				continue
 			}
 			m.Write(dbase+int64(l.InboxOff(int(n))), Word(msg.src))
 			m.Write(dbase+int64(l.InboxOff(int(n)))+1, msg.payload)
@@ -325,6 +333,9 @@ func (s *sim) globalStep(st dbsp.Superstep, index int) error {
 		if d := m.Cost() - before; d > maxDelta {
 			maxDelta = d
 		}
+	}
+	if ovf.dest >= 0 {
+		return fmt.Errorf("selfsim: program %q superstep %d: %w", s.prog.Name, index, l.InboxOverflow(ovf.dest))
 	}
 	s.moduleCost += maxDelta
 	s.ledger.Charge(frame, "place", maxDelta)

@@ -47,6 +47,12 @@ func (l Layout) OutCountOff() int { return l.Data + 1 + 2*l.MaxMsgs }
 // OutboxOff returns the offset of outbox entry k.
 func (l Layout) OutboxOff(k int) int { return l.Data + 2 + 2*l.MaxMsgs + 2*k }
 
+// InboxOverflow is the error for a message to processor dest that
+// finds dest's inbox full: one text for the engine and every simulator.
+func (l Layout) InboxOverflow(dest int) error {
+	return fmt.Errorf("inbox overflow at processor %d (MaxMsgs=%d)", dest, l.MaxMsgs)
+}
+
 // Validate checks the layout bounds.
 func (l Layout) Validate() error {
 	if l.Data < 0 {

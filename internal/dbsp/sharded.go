@@ -1,7 +1,6 @@
 package dbsp
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -297,7 +296,7 @@ func (e *shardEngine) exchange() (h int, err error) {
 		// processor — never on messages to other processors — so the
 		// minimal-(src, idx) overflow across shards is precisely the
 		// one a sequential scan hits first.
-		return 0, fmt.Errorf("inbox overflow at processor %d (MaxMsgs=%d)", first.dest, e.prog.Layout.MaxMsgs)
+		return 0, e.prog.Layout.InboxOverflow(first.dest)
 	}
 	return h, nil
 }

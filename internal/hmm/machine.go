@@ -23,23 +23,6 @@ import (
 // Word is the unit of HMM storage.
 type Word = int64
 
-// Op identifies a memory operation kind for trace hooks.
-type Op uint8
-
-// Operation kinds reported to trace hooks.
-const (
-	OpRead Op = iota
-	OpWrite
-)
-
-// String returns "read" or "write".
-func (o Op) String() string {
-	if o == OpRead {
-		return "read"
-	}
-	return "write"
-}
-
 // Stats aggregates the cost accounting of a Machine.
 type Stats struct {
 	// Cost is the total charged model time: Σ f(x) over accesses plus
@@ -125,9 +108,9 @@ type Machine struct {
 	dense []float64
 	mem   []Word
 	stats Stats
-	// Trace, when non-nil, is invoked for every word access with the
-	// operation kind and address. Used by Observe and by layout tests.
-	Trace func(op Op, addr int64)
+	// levels, when non-nil (Observe attaches it), sums the charged cost
+	// per address bit-length, as Stats.Depth counts the accesses.
+	levels *[DepthBuckets]float64
 }
 
 // New returns an f(x)-HMM with size words of zeroed memory.
@@ -151,23 +134,23 @@ func (m *Machine) Size() int64 { return int64(len(m.mem)) }
 func (m *Machine) Stats() Stats { return m.stats }
 
 // Observe exports the machine's accounting to o under the sim prefix.
-// The always-on accounting keeps only access counts per level, so
-// Observe hooks Trace to split the access cost by level too, reading
-// each f(x) from the compiled table the charge used (bit-identical to
-// the formula, without evaluating it again). The returned publish,
-// called after the run, unhooks Trace and adds <sim>.reads, .writes,
-// .computeops, .level.<k>.accesses and .cost (k the address bit-length,
-// as in Stats.Depth) and .memory.words, plus the charged total through
-// l. With a nil o nothing is hooked, so an unobserved run pays nothing,
-// and publish does nothing.
+// The always-on accounting counts accesses per level but not their
+// cost, so Observe attaches a per-level cost array: every charge path
+// adds each f(x) it charged to x's level in the order it charged them,
+// so each level's sum is bit-identical to a per-word fold. The returned
+// publish, called after the run, detaches it and adds <sim>.reads,
+// .writes, .computeops, .level.<k>.accesses and .cost (k the address
+// bit-length, as in Stats.Depth) and .memory.words, plus the charged
+// total through l. With a nil o nothing is attached: an unobserved run
+// pays one nil check per operation, and publish does nothing.
 func (m *Machine) Observe(o *obs.Observer, sim string, l *obs.Ledger) (publish func()) {
 	if o == nil {
 		return func() {}
 	}
-	var levelCost [DepthBuckets]float64
-	m.Trace = func(_ Op, x int64) { levelCost[bits.Len64(uint64(x))] += m.costAt(x) }
+	levels := new([DepthBuckets]float64)
+	m.levels = levels
 	return func() {
-		m.Trace = nil
+		m.levels = nil
 		l.Total(m.stats.Cost)
 		o.Counter(sim + ".reads").Add(m.stats.Reads)
 		o.Counter(sim + ".writes").Add(m.stats.Writes)
@@ -176,7 +159,7 @@ func (m *Machine) Observe(o *obs.Observer, sim string, l *obs.Ledger) (publish f
 		for k, n := range m.stats.Depth {
 			if n != 0 {
 				o.Counter(fmt.Sprintf("%s.level.%d.accesses", sim, k)).Add(n)
-				o.FloatCounter(fmt.Sprintf("%s.level.%d.cost", sim, k)).Add(levelCost[k])
+				o.FloatCounter(fmt.Sprintf("%s.level.%d.cost", sim, k)).Add(levels[k])
 			}
 		}
 	}
@@ -200,20 +183,25 @@ func (m *Machine) checkAddr(x int64) {
 	}
 }
 
-func (m *Machine) charge(op Op, x int64) {
-	m.stats.Cost += m.costAt(x)
+// charge accounts one word access at x; the caller counts its kind.
+func (m *Machine) charge(x int64) {
+	c := m.costAt(x)
+	m.stats.Cost += c
 	if x > m.stats.MaxAddr {
 		m.stats.MaxAddr = x
 	}
-	m.stats.Depth[bits.Len64(uint64(x))]++
-	if op == OpRead {
-		m.stats.Reads++
-	} else {
-		m.stats.Writes++
+	k := bits.Len64(uint64(x))
+	m.stats.Depth[k]++
+	if m.levels != nil {
+		m.levels[k] += c
 	}
-	if m.Trace != nil {
-		m.Trace(op, x)
-	}
+}
+
+// foldLevel adds f(x) to the cost of x's level. The bulk operations
+// check m.levels once per call and then run a level pass that walks
+// their Cost loop's addresses in its order.
+func (m *Machine) foldLevel(x int64) {
+	m.levels[bits.Len64(uint64(x))] += m.costAt(x)
 }
 
 // costAt returns f(x) through the compiled table (bit-identical to the
@@ -232,12 +220,11 @@ func (m *Machine) CostAt(x int64) float64 {
 	return m.costAt(x)
 }
 
-// chargeRange charges one op per address in [lo, hi), ascending — the
-// exact accumulation order of per-word charge calls, so the resulting
-// Cost is bit-identical. Callers must have bounds-checked the range and
-// must only use it when Trace is nil (the per-word paths emit trace
-// events; bulk paths fall back to them under tracing).
-func (m *Machine) chargeRange(op Op, lo, hi int64) {
+// chargeRange charges one access per address in [lo, hi), ascending —
+// the exact accumulation order of per-word charge calls, so the
+// resulting Cost is bit-identical. Callers must have bounds-checked the
+// range and count the accesses' kind themselves.
+func (m *Machine) chargeRange(lo, hi int64) {
 	c := m.stats.Cost
 	x := lo
 	dh := hi
@@ -255,10 +242,10 @@ func (m *Machine) chargeRange(op Op, lo, hi int64) {
 		m.stats.MaxAddr = hi - 1
 	}
 	m.bumpDepthRange(lo, hi)
-	if op == OpRead {
-		m.stats.Reads += hi - lo
-	} else {
-		m.stats.Writes += hi - lo
+	if m.levels != nil {
+		for x := lo; x < hi; x++ {
+			m.foldLevel(x)
+		}
 	}
 }
 
@@ -282,14 +269,16 @@ func (m *Machine) bumpDepthRange(lo, hi int64) {
 // Read returns the word at address x, charging f(x).
 func (m *Machine) Read(x int64) Word {
 	m.checkAddr(x)
-	m.charge(OpRead, x)
+	m.charge(x)
+	m.stats.Reads++
 	return m.mem[x]
 }
 
 // Write stores v at address x, charging f(x).
 func (m *Machine) Write(x int64, v Word) {
 	m.checkAddr(x)
-	m.charge(OpWrite, x)
+	m.charge(x)
+	m.stats.Writes++
 	m.mem[x] = v
 }
 
@@ -342,23 +331,9 @@ func (m *Machine) MoveRange(src, dst, n int64) {
 	m.checkAddr(src + n - 1)
 	m.checkAddr(dst)
 	m.checkAddr(dst + n - 1)
-	if m.Trace != nil {
-		// Tracing needs one event per word access in the legacy order.
-		if dst < src {
-			for i := int64(0); i < n; i++ {
-				//lint:ignore bulkcharge the tracing path must emit one event per word in legacy order
-				m.Write(dst+i, m.Read(src+i))
-			}
-		} else {
-			for i := n - 1; i >= 0; i-- {
-				m.Write(dst+i, m.Read(src+i))
-			}
-		}
-		return
-	}
-	// Bulk path: fold the per-word charges f(src+i), f(dst+i) into the
-	// accumulator in the exact order the word-by-word loop would, then
-	// move the words with one copy. Bit-identical cost, same stats.
+	// Fold the per-word charges f(src+i), f(dst+i) into the accumulator
+	// in the exact order the word-by-word loop would, then move the
+	// words with one copy. Bit-identical cost, same stats.
 	c := m.stats.Cost
 	if dst < src {
 		for i := int64(0); i < n; i++ {
@@ -372,6 +347,19 @@ func (m *Machine) MoveRange(src, dst, n int64) {
 		}
 	}
 	m.stats.Cost = c
+	if m.levels != nil {
+		if dst < src {
+			for i := int64(0); i < n; i++ {
+				m.foldLevel(src + i)
+				m.foldLevel(dst + i)
+			}
+		} else {
+			for i := n - 1; i >= 0; i-- {
+				m.foldLevel(src + i)
+				m.foldLevel(dst + i)
+			}
+		}
+	}
 	copy(m.mem[dst:dst+n], m.mem[src:src+n])
 	m.stats.Reads += n
 	m.stats.Writes += n
@@ -395,16 +383,9 @@ func (m *Machine) SwapRange(a, b, n int64) {
 	m.checkAddr(a + n - 1)
 	m.checkAddr(b)
 	m.checkAddr(b + n - 1)
-	if m.Trace != nil {
-		for i := int64(0); i < n; i++ {
-			//lint:ignore bulkcharge the tracing path must emit one event per word in legacy order
-			m.SwapWords(a+i, b+i)
-		}
-		return
-	}
-	// Bulk path: per word, SwapWords charges f(a+i), f(b+i), f(a+i),
-	// f(b+i) (read a, read b, write a, write b). Replicate that fold
-	// exactly, then swap the words directly.
+	// Per word, SwapWords charges f(a+i), f(b+i), f(a+i), f(b+i) (read
+	// a, read b, write a, write b). Replicate that fold exactly, then
+	// swap the words directly.
 	c := m.stats.Cost
 	for i := int64(0); i < n; i++ {
 		ca, cb := m.costAt(a+i), m.costAt(b+i)
@@ -415,6 +396,14 @@ func (m *Machine) SwapRange(a, b, n int64) {
 		m.mem[a+i], m.mem[b+i] = m.mem[b+i], m.mem[a+i]
 	}
 	m.stats.Cost = c
+	if m.levels != nil {
+		for i := int64(0); i < n; i++ {
+			m.foldLevel(a + i)
+			m.foldLevel(b + i)
+			m.foldLevel(a + i)
+			m.foldLevel(b + i)
+		}
+	}
 	m.stats.Reads += 2 * n
 	m.stats.Writes += 2 * n
 	m.bumpDepthRange(a, a+n)
@@ -442,19 +431,18 @@ func (m *Machine) StreamWords(src, dst, n int64) {
 	m.checkAddr(src + n - 1)
 	m.checkAddr(dst)
 	m.checkAddr(dst + n - 1)
-	if m.Trace != nil {
-		for i := int64(0); i < n; i++ {
-			//lint:ignore bulkcharge the tracing path must emit one event per word in legacy order
-			m.Write(dst+i, m.Read(src+i))
-		}
-		return
-	}
 	c := m.stats.Cost
 	for i := int64(0); i < n; i++ {
 		c += m.costAt(src + i)
 		c += m.costAt(dst + i)
 	}
 	m.stats.Cost = c
+	if m.levels != nil {
+		for i := int64(0); i < n; i++ {
+			m.foldLevel(src + i)
+			m.foldLevel(dst + i)
+		}
+	}
 	copy(m.mem[dst:dst+n], m.mem[src:src+n])
 	m.stats.Reads += n
 	m.stats.Writes += n
@@ -478,15 +466,9 @@ func (m *Machine) Touch(n int64) {
 	if n <= 0 {
 		return
 	}
-	if m.Trace != nil {
-		for x := int64(0); x < n; x++ {
-			//lint:ignore bulkcharge the tracing path must emit one event per word in legacy order
-			m.Read(x)
-		}
-		return
-	}
 	m.checkAddr(n - 1)
-	m.chargeRange(OpRead, 0, n)
+	m.chargeRange(0, n)
+	m.stats.Reads += n
 }
 
 // ReadRange reads the len(dst) words at [addr, addr+len(dst)) into dst
@@ -498,14 +480,8 @@ func (m *Machine) ReadRange(addr int64, dst []Word) {
 	}
 	m.checkAddr(addr)
 	m.checkAddr(addr + n - 1)
-	if m.Trace != nil {
-		for i := int64(0); i < n; i++ {
-			//lint:ignore bulkcharge the tracing path must emit one event per word in legacy order
-			dst[i] = m.Read(addr + i)
-		}
-		return
-	}
-	m.chargeRange(OpRead, addr, addr+n)
+	m.chargeRange(addr, addr+n)
+	m.stats.Reads += n
 	copy(dst, m.mem[addr:addr+n])
 }
 
@@ -518,14 +494,8 @@ func (m *Machine) WriteRange(addr int64, src []Word) {
 	}
 	m.checkAddr(addr)
 	m.checkAddr(addr + n - 1)
-	if m.Trace != nil {
-		for i := int64(0); i < n; i++ {
-			//lint:ignore bulkcharge the tracing path must emit one event per word in legacy order
-			m.Write(addr+i, src[i])
-		}
-		return
-	}
-	m.chargeRange(OpWrite, addr, addr+n)
+	m.chargeRange(addr, addr+n)
+	m.stats.Writes += n
 	copy(m.mem[addr:addr+n], src)
 }
 

@@ -175,54 +175,57 @@ func TestTouchMatchesFact1(t *testing.T) {
 	}
 }
 
-func TestTraceHook(t *testing.T) {
-	m := newFlat(8)
-	var ops []Op
-	var addrs []int64
-	m.Trace = func(op Op, addr int64) {
-		ops = append(ops, op)
-		addrs = append(addrs, addr)
-	}
-	m.Write(2, 9)
-	m.Read(2)
-	if len(ops) != 2 || ops[0] != OpWrite || ops[1] != OpRead || addrs[0] != 2 || addrs[1] != 2 {
-		t.Errorf("trace = %v %v, want [write read] [2 2]", ops, addrs)
-	}
-	if OpRead.String() != "read" || OpWrite.String() != "write" {
-		t.Error("Op.String mismatch")
-	}
-}
-
 // TestObservePublishesAccounting: Observe's per-level cost is the
 // direct formula's f(x) folded per address bit-length in access order,
-// bit for bit, and publish exports the machine's own accounting and
-// unhooks Trace.
+// bit for bit, through per-word and bulk operations alike, and publish
+// exports the machine's own accounting. A nil observer attaches
+// nothing.
 func TestObservePublishesAccounting(t *testing.T) {
 	f := cost.Poly{Alpha: 0.3}
 	m := New(f, 1<<12)
-	if m.Observe(nil, "hmm", nil)(); m.Trace != nil {
-		t.Fatal("Observe with a nil observer hooked Trace")
+	if m.Observe(nil, "hmm", nil)(); m.levels != nil {
+		t.Fatal("Observe with a nil observer attached level costs")
 	}
 	reg := obs.NewRegistry()
 	o := obs.New(reg, nil)
 	publish := m.Observe(o, "hmm", o.Ledger("hmm"))
 	var want [DepthBuckets]float64
+	fold := func(x int64) { want[bits.Len64(uint64(x))] += f.Cost(x) }
 	for _, x := range []int64{0, 1, 3, 100, 1000, 3000, 4095, 7} {
 		m.Write(x, 1)
 		m.Read(x)
-		want[bits.Len64(uint64(x))] += f.Cost(x) // the write
-		want[bits.Len64(uint64(x))] += f.Cost(x) // the read
+		fold(x) // the write
+		fold(x) // the read
 	}
 	m.ReadRange(512, make([]Word, 64))
 	for x := int64(512); x < 576; x++ {
-		want[bits.Len64(uint64(x))] += f.Cost(x)
+		fold(x)
+	}
+	m.MoveRange(600, 40, 100) // dst below src: ascending
+	for i := int64(0); i < 100; i++ {
+		fold(600 + i)
+		fold(40 + i)
+	}
+	m.MoveRange(2000, 2100, 300) // dst above src, overlapping: descending
+	for i := int64(299); i >= 0; i-- {
+		fold(2000 + i)
+		fold(2100 + i)
+	}
+	m.SwapRange(1024, 3000, 50)
+	for i := int64(0); i < 50; i++ {
+		fold(1024 + i)
+		fold(3000 + i)
+		fold(1024 + i)
+		fold(3000 + i)
+	}
+	m.StreamWords(3500, 700, 90)
+	for i := int64(0); i < 90; i++ {
+		fold(3500 + i)
+		fold(700 + i)
 	}
 	m.ChargeOps(5)
 	publish()
 
-	if m.Trace != nil {
-		t.Error("publish left Trace hooked")
-	}
 	st := m.Stats()
 	if got := reg.FloatCounter("hmm.cost.total").Value(); got != st.Cost {
 		t.Errorf("hmm.cost.total = %v, want %v", got, st.Cost)
@@ -334,7 +337,7 @@ func TestDepthProfileTouch(t *testing.T) {
 func TestDepthDeepAddressRegression(t *testing.T) {
 	m := New(cost.Const{C: 1}, 8)
 	for _, x := range []int64{1 << 47, 1 << 62, math.MaxInt64} {
-		m.charge(OpRead, x)
+		m.charge(x)
 		k := 0
 		for v := x; v > 0; v >>= 1 {
 			k++
@@ -427,48 +430,134 @@ func TestDepthByBoundsProportionalSplit(t *testing.T) {
 	}
 }
 
-// Every bulk operation must charge bit-identically to its word-by-word
-// fallback (which tracing forces), in the same accumulation order —
-// the invariant the observer-on/off equality of the simulators rests on.
+// perWord performs the bulk operations as single-word Read and Write
+// calls in the order each operation's doc promises, folding f(x) into
+// its level as it goes: the reference for TestBulkMatchesPerWordBitIdentical.
+type perWord struct {
+	m      *Machine
+	levels [DepthBuckets]float64
+}
+
+func (p *perWord) read(x int64) Word {
+	p.levels[bits.Len64(uint64(x))] += p.m.CostAt(x)
+	return p.m.Read(x)
+}
+
+func (p *perWord) write(x int64, v Word) {
+	p.levels[bits.Len64(uint64(x))] += p.m.CostAt(x)
+	p.m.Write(x, v)
+}
+
+// copyWords copies n words, reading src+i before writing dst+i, for i
+// ascending or descending.
+func (p *perWord) copyWords(src, dst, n int64, ascending bool) {
+	for j := int64(0); j < n; j++ {
+		i := j
+		if !ascending {
+			i = n - 1 - j
+		}
+		p.write(dst+i, p.read(src+i))
+	}
+}
+
+// swapWords exchanges n word pairs: read a+i, read b+i, write a+i,
+// write b+i.
+func (p *perWord) swapWords(a, b, n int64) {
+	for i := int64(0); i < n; i++ {
+		va, vb := p.read(a+i), p.read(b+i)
+		p.write(a+i, vb)
+		p.write(b+i, va)
+	}
+}
+
+// Every bulk operation must charge bit-identically to the word-by-word
+// loop it stands for, in the same accumulation order — the invariant
+// the simulators' costs rest on — and, observed, must fold the same
+// per-level costs bit for bit, including where its two ranges share a
+// level (so the order between them matters).
 func TestBulkMatchesPerWordBitIdentical(t *testing.T) {
 	f := cost.Poly{Alpha: 0.5}
+	const size = 512
+	bulkOut, wordOut := make([]Word, 77), make([]Word, 77)
+	data := make([]Word, 50)
+	for i := range data {
+		data[i] = Word(3*i - 11)
+	}
 	ops := []struct {
 		name string
-		run  func(m *Machine)
+		bulk func(m *Machine)
+		word func(p *perWord)
 	}{
-		{"touch", func(m *Machine) { m.Touch(200) }},
-		{"move fwd", func(m *Machine) { m.MoveRange(150, 10, 64) }},
-		{"move bwd overlap", func(m *Machine) { m.MoveRange(10, 40, 64) }},
-		{"swap", func(m *Machine) { m.SwapRange(0, 128, 64) }},
-		{"stream up", func(m *Machine) { m.StreamWords(5, 100, 32) }},
-		{"stream down", func(m *Machine) { m.StreamWords(100, 5, 32) }},
-		{"readrange", func(m *Machine) { m.ReadRange(33, make([]Word, 77)) }},
-		{"writerange", func(m *Machine) { m.WriteRange(90, make([]Word, 50)) }},
+		{"touch", func(m *Machine) { m.Touch(200) }, func(p *perWord) {
+			for x := int64(0); x < 200; x++ {
+				p.read(x)
+			}
+		}},
+		{"move fwd", func(m *Machine) { m.MoveRange(150, 10, 64) },
+			func(p *perWord) { p.copyWords(150, 10, 64, true) }},
+		{"move bwd overlap", func(m *Machine) { m.MoveRange(10, 40, 64) },
+			func(p *perWord) { p.copyWords(10, 40, 64, false) }},
+		{"move up within a level", func(m *Machine) { m.MoveRange(130, 200, 40) },
+			func(p *perWord) { p.copyWords(130, 200, 40, false) }},
+		{"move down within a level", func(m *Machine) { m.MoveRange(300, 260, 100) },
+			func(p *perWord) { p.copyWords(300, 260, 100, true) }},
+		{"swap", func(m *Machine) { m.SwapRange(0, 128, 64) },
+			func(p *perWord) { p.swapWords(0, 128, 64) }},
+		{"swap within a level", func(m *Machine) { m.SwapRange(300, 400, 64) },
+			func(p *perWord) { p.swapWords(300, 400, 64) }},
+		{"stream up", func(m *Machine) { m.StreamWords(5, 100, 32) },
+			func(p *perWord) { p.copyWords(5, 100, 32, true) }},
+		{"stream down", func(m *Machine) { m.StreamWords(100, 5, 32) },
+			func(p *perWord) { p.copyWords(100, 5, 32, true) }},
+		{"stream within a level", func(m *Machine) { m.StreamWords(390, 260, 60) },
+			func(p *perWord) { p.copyWords(390, 260, 60, true) }},
+		{"readrange", func(m *Machine) { m.ReadRange(33, bulkOut) }, func(p *perWord) {
+			for i := range wordOut {
+				wordOut[i] = p.read(33 + int64(i))
+			}
+		}},
+		{"writerange", func(m *Machine) { m.WriteRange(90, data) }, func(p *perWord) {
+			for i, v := range data {
+				p.write(90+int64(i), v)
+			}
+		}},
 	}
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {
-			bulk := New(f, 256)
-			word := New(f, 256)
-			word.Trace = func(Op, int64) {} // forces the per-word fallback
-			for i := int64(0); i < 256; i++ {
+			bulk := New(f, size)
+			word := &perWord{m: New(f, size)}
+			for i := int64(0); i < size; i++ {
 				bulk.Poke(i, i*7+1)
-				word.Poke(i, i*7+1)
+				word.m.Poke(i, i*7+1)
 			}
-			op.run(bulk)
-			op.run(word)
-			if bc, wc := bulk.Cost(), word.Cost(); math.Float64bits(bc) != math.Float64bits(wc) {
+			reg := obs.NewRegistry()
+			o := obs.New(reg, nil)
+			publish := bulk.Observe(o, "hmm", o.Ledger("hmm"))
+			op.bulk(bulk)
+			publish()
+			op.word(word)
+			if bc, wc := bulk.Cost(), word.m.Cost(); math.Float64bits(bc) != math.Float64bits(wc) {
 				t.Errorf("bulk cost %v (bits %x) != per-word cost %v (bits %x)",
 					bc, math.Float64bits(bc), wc, math.Float64bits(wc))
 			}
-			word.Trace = nil
-			bs, ws := bulk.Stats(), word.Stats()
+			bs, ws := bulk.Stats(), word.m.Stats()
 			if bs != ws {
 				t.Errorf("stats diverged:\nbulk: %+v\nword: %+v", bs, ws)
 			}
-			if got, want := bulk.Snapshot(0, 256), word.Snapshot(0, 256); !slicesEqual(got, want) {
+			if got, want := bulk.Snapshot(0, size), word.m.Snapshot(0, size); !slicesEqual(got, want) {
 				t.Error("memory contents diverged between bulk and per-word paths")
 			}
+			for k, want := range word.levels {
+				got := reg.FloatCounter(fmt.Sprintf("hmm.level.%d.cost", k)).Value()
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("level %d cost %v (bits %x), per-word fold %v (bits %x)",
+						k, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
 		})
+	}
+	if !slicesEqual(bulkOut, wordOut) {
+		t.Error("ReadRange returned different words than per-word reads")
 	}
 }
 

@@ -24,8 +24,8 @@ import (
 // non-unit steps and data-dependent addresses are left alone, as are
 // calls inside nested function literals (they run on their own
 // schedule). When the loop really must go word-at-a-time — e.g. each
-// iteration's address depends on the previous word — justify with a
-// //lint:ignore bulkcharge directive.
+// iteration's address depends on the previous word — justify it with a
+// `lint:ignore bulkcharge <reason>` directive.
 var BulkCharge = &Analyzer{
 	Name:  "bulkcharge",
 	Doc:   "per-word hmm charge calls in unit-stride loops should use the bulk *Range APIs",

@@ -58,6 +58,12 @@
 //	                          (addresses of bit-length k)
 //	<sim>.level.<k>.cost      access cost charged at level k
 //
+// The machine-level metrics (reads, writes, level costs, memory size,
+// and bt.blocks.*) are kept by the machines themselves while the run
+// charges and published once after it (hmm.Machine.Observe,
+// bt.Machine.Observe): no observer is called per access or per block
+// transfer.
+//
 // # Attributing the paper's cost terms
 //
 // Theorem 5 (D-BSP -> HMM, O(v·(τ + µ·Σ_i λ_i·f(µv/2^i)))):
@@ -83,7 +89,10 @@
 //	                               .riffle/.merge
 //	bt.cost.swap                   the Step 4 sibling swaps (three
 //	                               block transfers each)
-//	bt.blocks.words                histogram of block-transfer sizes —
+//	bt.blocks.words                histogram of block-transfer sizes,
+//	                               loaded after the run from the
+//	                               machine's size buckets with the
+//	                               exact word total as its sum —
 //	                               f-independence shows up as traffic
 //	                               dominated by large transfers
 //	bt.sort.comparisons            comparisons spent in the sorting

@@ -136,23 +136,23 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// AddAt records n pre-bucketed observations directly into bucket k —
-// used to import profiles that are already bucketed by bit-length
-// (e.g. hmm.Stats.Depth). The sum is approximated by the bucket floor.
-func (h *Histogram) AddAt(k int, n int64) {
-	if h == nil || n == 0 {
+// AddBuckets records observations counted elsewhere in one call:
+// buckets[k] of them in bucket k, their values totalling exactly sum.
+// It loads bt.BlockStats.Sizes and a Snapshot's histogram without
+// replaying each value; indexes past the last bucket clamp into it.
+func (h *Histogram) AddBuckets(buckets []int64, sum int64) {
+	if h == nil {
 		return
 	}
-	if k < 0 {
-		k = 0
+	var count int64
+	for k, n := range buckets {
+		if n != 0 {
+			h.buckets[min(k, histBuckets-1)].Add(n)
+			count += n
+		}
 	}
-	if k >= histBuckets {
-		k = histBuckets - 1
-	}
-	h.buckets[k].Add(n)
-	h.count.Add(n)
-	lo, _ := BucketRange(k)
-	h.sum.Add(lo * n)
+	h.count.Add(count)
+	h.sum.Add(sum)
 }
 
 // Count returns the number of observations.
@@ -163,7 +163,7 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of observed values (bucket floors for AddAt).
+// Sum returns the sum of observed values.
 func (h *Histogram) Sum() int64 {
 	if h == nil {
 		return 0
@@ -324,9 +324,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // Import merges a snapshot into the registry: counters and float
 // counters add their values, gauges take the sample's value, and
-// histograms add the sample's bucket counts. It is how the sweep
-// engine's per-job registries fold into one aggregate report — for
-// counters and histograms, importing N disjoint snapshots equals
+// histograms add the sample's bucket counts and exact sum. It is how
+// the sweep engine's per-job registries fold into one aggregate report
+// — for counters and histograms, importing N disjoint snapshots equals
 // recording into one shared registry.
 func (r *Registry) Import(samples []Sample) {
 	if r == nil {
@@ -341,10 +341,7 @@ func (r *Registry) Import(samples []Sample) {
 		case "gauge":
 			r.Gauge(s.Name).Set(int64(s.Value))
 		case "hist":
-			h := r.Histogram(s.Name)
-			for k, n := range s.Buckets {
-				h.AddAt(k, n)
-			}
+			r.Histogram(s.Name).AddBuckets(s.Buckets, int64(s.Value))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -58,7 +59,7 @@ func TestNilReceiversNoop(t *testing.T) {
 	f.Set(2)
 	g.Set(3)
 	h.Observe(4)
-	h.AddAt(2, 7)
+	h.AddBuckets([]int64{0, 0, 7}, 14)
 	if c.Value() != 0 || f.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil metrics must read as zero")
 	}
@@ -125,13 +126,12 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		t.Errorf("count=%d sum=%d, want 4, 16", h.Count(), h.Sum())
 	}
 
+	// AddBuckets loads the same state in bulk, sum included.
 	h2 := &Histogram{}
-	h2.AddAt(3, 5)
-	if h2.Count() != 5 {
-		t.Errorf("AddAt count = %d, want 5", h2.Count())
-	}
-	if got := h2.Buckets()[3]; got != 5 {
-		t.Errorf("AddAt bucket 3 = %d, want 5", got)
+	h2.AddBuckets(h.Buckets(), h.Sum())
+	if !reflect.DeepEqual(h2.Buckets(), h.Buckets()) || h2.Count() != 4 || h2.Sum() != 16 {
+		t.Errorf("AddBuckets: buckets %v count %d sum %d, want %v, 4, 16",
+			h2.Buckets(), h2.Count(), h2.Sum(), h.Buckets())
 	}
 }
 
@@ -170,7 +170,8 @@ func TestSnapshotSortedAndTyped(t *testing.T) {
 }
 
 // Import folds disjoint snapshots into one registry the same way a
-// shared registry would have recorded them.
+// shared registry would have recorded them — histogram sums included,
+// which bucket floors would round down (3 + 5 + 1000 to 2 + 4 + 512).
 func TestImportMergesSnapshots(t *testing.T) {
 	mk := func(n int64) []Sample {
 		src := NewRegistry()
@@ -181,20 +182,24 @@ func TestImportMergesSnapshots(t *testing.T) {
 		return src.Snapshot()
 	}
 	dst := NewRegistry()
-	dst.Import(mk(2))
-	dst.Import(mk(4))
-	if got := dst.Counter("jobs").Value(); got != 6 {
-		t.Errorf("counter merged to %d, want 6", got)
+	var shared Histogram
+	for _, n := range []int64{3, 5, 1000} {
+		dst.Import(mk(n))
+		shared.Observe(n)
 	}
-	if got := dst.FloatCounter("cost").Value(); got != 3 {
-		t.Errorf("float merged to %g, want 3", got)
+	if got := dst.Counter("jobs").Value(); got != 1008 {
+		t.Errorf("counter merged to %d, want 1008", got)
 	}
-	if got := dst.Gauge("workers").Value(); got != 4 {
-		t.Errorf("gauge merged to %d, want 4 (last wins)", got)
+	if got := dst.FloatCounter("cost").Value(); got != 504 {
+		t.Errorf("float merged to %g, want 504", got)
+	}
+	if got := dst.Gauge("workers").Value(); got != 1000 {
+		t.Errorf("gauge merged to %d, want 1000 (last wins)", got)
 	}
 	h := dst.Histogram("wall")
-	if h.Count() != 2 || h.Sum() != 6 {
-		t.Errorf("hist merged to count %d sum %d, want 2, 6", h.Count(), h.Sum())
+	if h.Count() != 3 || h.Sum() != 1008 || !reflect.DeepEqual(h.Buckets(), shared.Buckets()) {
+		t.Errorf("hist merged to count %d sum %d buckets %v, want 3, 1008, %v",
+			h.Count(), h.Sum(), h.Buckets(), shared.Buckets())
 	}
 	var nilReg *Registry
 	nilReg.Import(mk(1)) // must not panic
@@ -203,7 +208,7 @@ func TestImportMergesSnapshots(t *testing.T) {
 // Audit companion to the hmm.Stats.Depth sizing fix: BucketOf reaches
 // bits.Len64's full range, and every reachable index must stay inside
 // the histogram's bucket array (and inside hmm's Depth profile, which
-// AddAt imports verbatim).
+// shares its bucket convention).
 func TestBucketOfBounds(t *testing.T) {
 	cases := []struct {
 		v    int64
@@ -228,11 +233,14 @@ func TestBucketOfBounds(t *testing.T) {
 	if h.Count() != 2 {
 		t.Errorf("Count = %d, want 2", h.Count())
 	}
-	// AddAt clamps wild bucket indexes instead of panicking.
-	h.AddAt(histBuckets+10, 1)
-	h.AddAt(-3, 1)
-	if h.Count() != 4 {
-		t.Errorf("Count after clamped AddAt = %d, want 4", h.Count())
+	// AddBuckets clamps bucket indexes past the last into it instead
+	// of panicking.
+	wide := make([]int64, histBuckets+11)
+	wide[histBuckets+10] = 1
+	h.AddBuckets(wide, 7)
+	if h.Count() != 3 || h.Buckets()[histBuckets-1] != 1 {
+		t.Errorf("after clamped AddBuckets: count %d, buckets %v; want 3, last bucket 1",
+			h.Count(), h.Buckets())
 	}
 }
 
@@ -328,13 +336,13 @@ func TestHistogramQuantileServiceEdges(t *testing.T) {
 			}
 		})
 	}
-	// The same edges through AddAt (the Import path a service registry
-	// takes when folding job snapshots): one pre-bucketed observation in
-	// bucket 3 behaves exactly like Observe(5) did.
+	// The same edges through AddBuckets (the Import path a service
+	// registry takes when folding job snapshots): one pre-bucketed
+	// observation in bucket 3 behaves exactly like Observe(5) did.
 	var h Histogram
-	h.AddAt(3, 1)
+	h.AddBuckets([]int64{0, 0, 0, 1}, 5)
 	if got := h.Quantile(0.99); math.Abs(got-7.96) > 1e-12 {
-		t.Errorf("AddAt single-bucket Quantile(0.99) = %g, want 7.96", got)
+		t.Errorf("AddBuckets single-bucket Quantile(0.99) = %g, want 7.96", got)
 	}
 }
 

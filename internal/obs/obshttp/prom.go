@@ -83,10 +83,8 @@ func writePromHist(w io.Writer, name string, s obs.Sample, quantiles []float64) 
 	// Rebuild a histogram from the snapshot's buckets so the quantile
 	// lines come from the same estimator the sweep ETA uses.
 	var h obs.Histogram
-	for k, n := range s.Buckets {
-		//lint:ignore snapshotonly h is a scratch local rebuilt from the immutable snapshot, not shared state
-		h.AddAt(k, n)
-	}
+	//lint:ignore snapshotonly h is a scratch local rebuilt from the immutable snapshot, not shared state
+	h.AddBuckets(s.Buckets, int64(s.Value))
 	if _, err := fmt.Fprintf(w, "# TYPE %s_quantile gauge\n", name); err != nil {
 		return err
 	}
