@@ -314,6 +314,23 @@ func BenchmarkE17RouteDelivery(b *testing.B) {
 	reportBT(b, last)
 }
 
+// BenchmarkE18DirectDelivery runs btsim with direct delivery disabled,
+// so every cluster size delivers through the sorting path experiment
+// E18 ablates: extraction, the record sort and the inbox merge.
+func BenchmarkE18DirectDelivery(b *testing.B) {
+	prog := progtest.Rotate(256, progtest.Fine(256, 12)...)
+	opts := &btsim.Options{DirectDeliveryMaxBlocks: -1}
+	var last *btsim.Result
+	for i := 0; i < b.N; i++ {
+		res, err := btsim.Simulate(prog, alphaHalf, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = res
+	}
+	reportBT(b, last)
+}
+
 // BenchmarkObserveOverhead times hmmsim and btsim on algos.Sort(1024)
 // under x^0.5 (not a paper experiment), plain and with a fresh registry
 // observing each run: the gap between the two is what observation adds

@@ -23,6 +23,7 @@ package amsort
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bt"
 	"repro/internal/cost"
@@ -49,41 +50,47 @@ func NewPlan(f cost.Func, rec, count int64) *Plan {
 	if rec < 1 {
 		panic(fmt.Sprintf("amsort: rec=%d < 1", rec))
 	}
-	p := &Plan{f: f, rec: rec, count: count}
-	n := count * rec
+	p := &Plan{f: f, rec: rec}
+	p.Replan(count)
+	return p
+}
+
+// Replan recomputes the plan for count records of the same width under
+// the same access function, reusing its slices: once a plan has held a
+// cascade as deep as the new one, replanning allocates nothing. count
+// >= 0.
+func (p *Plan) Replan(count int64) {
+	p.count = count
+	n := count * p.rec
 	// Outermost chunk ~ f(N)/R, then shrink by iterating f until the
 	// constant floor. Build outermost-first, then reverse so chunk[0]
 	// is innermost.
-	var desc []int64
-	c := int64(p.f.Cost(2*n)) / rec
+	desc := p.chunk[:0]
+	c := int64(p.f.Cost(2*n)) / p.rec
 	for c > minChunk {
 		desc = append(desc, c)
 		// Shrink at least geometrically: refills amortise as long as
 		// c_j >= f(extent_{j+1})/rec, and halving keeps the stage count
 		// logarithmic instead of tracking f's slow convergence toward
 		// its (constant) fixpoint.
-		next := int64(p.f.Cost(8*c*rec)) / rec
+		next := int64(p.f.Cost(8*c*p.rec)) / p.rec
 		if next > c/2 {
 			next = c / 2
 		}
 		c = next
 	}
-	desc = append(desc, minChunk)
-	p.chunk = make([]int64, len(desc))
-	for i := range desc {
-		p.chunk[i] = desc[len(desc)-1-i]
-	}
+	p.chunk = append(desc, minChunk)
+	slices.Reverse(p.chunk)
 	// Stage 0's buffer triple lives in the caller's HOT region (O(1)
 	// absolute addresses — its words are touched individually); outer
 	// stages live in the COLD region, reached only by block transfer.
-	p.base = make([]int64, len(p.chunk))
+	p.base = stages(p.base, len(p.chunk))
 	off := int64(0)
 	for j := 1; j < len(p.chunk); j++ {
 		p.base[j] = off
-		off += 3 * p.chunk[j] * rec
+		off += 3 * p.chunk[j] * p.rec
 	}
 	p.total = off
-	return p
 }
 
 // ColdWords returns the cold-region footprint (outer-stage buffers).
@@ -120,10 +127,53 @@ func (p *Plan) bufAddr(j, b int, hot, cold int64) int64 {
 // number of tag comparisons performed — the N·log N work term of the
 // cost analysis, which callers surface as a metric.
 func Sort(m *bt.Machine, p *Plan, data, scratch, hot, cold int64) int64 {
+	return NewSorter(m).Sort(p, data, scratch, hot, cold)
+}
+
+// IsSorted reports whether the count records at data are ordered by
+// ascending tag, reading without charging cost (a test/verification
+// helper, not a model operation).
+func IsSorted(m *bt.Machine, data, count, rec int64) bool {
+	for i := int64(1); i < count; i++ {
+		if m.Peek(data+i*rec) < m.Peek(data+(i-1)*rec) {
+			return false
+		}
+	}
+	return true
+}
+
+// A Sorter sorts on one machine again and again: it keeps its merge
+// cursors and OUT-buffer counts between merges and between sorts, so
+// once it has sorted with a cascade as deep as the next plan's, a sort
+// allocates nothing.
+type Sorter struct {
+	m     *bt.Machine
+	p     *Plan
+	hot   int64
+	cold  int64
+	comps int64 // tag comparisons performed
+	a, b  run   // the two merge inputs
+	// outCnt[j] = records accumulated in stage j's OUT buffer; outDst =
+	// cursor into the merge's destination.
+	outCnt []int64
+	outDst int64
+}
+
+// NewSorter returns a Sorter over m.
+func NewSorter(m *bt.Machine) *Sorter {
+	return &Sorter{m: m, a: run{side: bufA}, b: run{side: bufB}}
+}
+
+// Sort sorts like the package-level Sort, on the Sorter's machine.
+func (s *Sorter) Sort(p *Plan, data, scratch, hot, cold int64) int64 {
 	if p.count <= 1 {
 		return 0
 	}
-	s := &sorter{m: m, p: p, hot: hot, cold: cold}
+	s.p, s.hot, s.cold, s.comps = p, hot, cold, 0
+	K := len(p.chunk)
+	s.a.pos, s.a.cnt = stages(s.a.pos, K), stages(s.a.cnt, K)
+	s.b.pos, s.b.cnt = stages(s.b.pos, K), stages(s.b.cnt, K)
+	s.outCnt = stages(s.outCnt, K)
 	s.sortBaseRuns(data)
 	src, dst := data, scratch
 	for width := int64(minChunk); width < p.count; width *= 2 {
@@ -145,24 +195,13 @@ func Sort(m *bt.Machine, p *Plan, data, scratch, hot, cold int64) int64 {
 	return s.comps
 }
 
-// IsSorted reports whether the count records at data are ordered by
-// ascending tag, reading without charging cost (a test/verification
-// helper, not a model operation).
-func IsSorted(m *bt.Machine, data, count, rec int64) bool {
-	for i := int64(1); i < count; i++ {
-		if m.Peek(data+i*rec) < m.Peek(data+(i-1)*rec) {
-			return false
-		}
+// stages returns s resized to k per-stage entries, reusing its storage
+// when it is large enough; callers set or clear the entries they use.
+func stages(s []int64, k int) []int64 {
+	if cap(s) < k {
+		return make([]int64, k)
 	}
-	return true
-}
-
-type sorter struct {
-	m     *bt.Machine
-	p     *Plan
-	hot   int64
-	cold  int64
-	comps int64 // tag comparisons performed
+	return s[:k]
 }
 
 func min64(a, b int64) int64 {
@@ -173,7 +212,7 @@ func min64(a, b int64) int64 {
 }
 
 // copyRecords moves n records with one block transfer.
-func (s *sorter) copyRecords(src, dst, n int64) {
+func (s *Sorter) copyRecords(src, dst, n int64) {
 	if n == 0 {
 		return
 	}
@@ -187,7 +226,7 @@ func (s *sorter) copyRecords(src, dst, n int64) {
 // three virtual f.Cost calls — so the record width never appears in a
 // word loop here. Do not restructure the comparison/move order: the
 // charged cost sequence is pinned by the experiment tables.
-func (s *sorter) sortBaseRuns(data int64) {
+func (s *Sorter) sortBaseRuns(data int64) {
 	rec := s.p.rec
 	buf := s.p.bufAddr(0, bufA, s.hot, s.cold)
 	tmp := s.p.bufAddr(0, bufOut, s.hot, s.cold) // one-record scratch for swaps
@@ -214,20 +253,28 @@ func (s *sorter) sortBaseRuns(data int64) {
 	}
 }
 
-// stream tracks one side (A or B) of a merge through the cascade:
-// win[j] is the [pos, cnt) window of stage j's buffer, and main is the
+// run tracks one side (A or B) of a merge through the cascade:
+// [pos[j], cnt[j]) is the window of stage j's buffer, and main is the
 // cursor into the run in main memory.
-type stream struct {
+type run struct {
 	side     int // bufA or bufB
 	mainOff  int64
 	mainLeft int64
 	pos, cnt []int64
 }
 
+// open points the cursor at the cnt records at off, with empty stages.
+func (r *run) open(off, cnt int64) {
+	r.mainOff, r.mainLeft = off, cnt
+	clear(r.pos)
+	clear(r.cnt)
+}
+
 // refill ensures stage j's window is non-empty, pulling from stage j+1
 // (or main memory at the outermost stage). It returns false when the
-// stream is exhausted at this stage.
-func (s *sorter) refill(st *stream, j int) bool {
+// run is exhausted at this stage. The merge loop tests stage 0 in line
+// and calls it only when that window is empty.
+func (s *Sorter) refill(st *run, j int) bool {
 	if st.pos[j] < st.cnt[j] {
 		return true
 	}
@@ -257,50 +304,48 @@ func (s *sorter) refill(st *stream, j int) bool {
 	return true
 }
 
-// merge merges the sorted runs (aOff, aCnt) and (bOff, bCnt) into dst.
-func (s *sorter) merge(aOff, aCnt, bOff, bCnt, dst int64) {
-	p := s.p
-	K := len(p.chunk)
-	a := &stream{side: bufA, mainOff: aOff, mainLeft: aCnt, pos: make([]int64, K), cnt: make([]int64, K)}
-	b := &stream{side: bufB, mainOff: bOff, mainLeft: bCnt, pos: make([]int64, K), cnt: make([]int64, K)}
-	// outCnt[j] = records accumulated in stage j's OUT buffer; outDst =
-	// cursor into dst.
-	outCnt := make([]int64, K)
-	outDst := dst
-
-	// flush pushes stage j's OUT buffer one stage outward (or to main
-	// memory at the outermost stage).
-	var flush func(j int)
-	flush = func(j int) {
-		if outCnt[j] == 0 {
-			return
-		}
-		src := p.bufAddr(j, bufOut, s.hot, s.cold)
-		if j == K-1 {
-			s.m.CopyRange(src, outDst, outCnt[j]*p.rec)
-			outDst += outCnt[j] * p.rec
-		} else {
-			if outCnt[j+1]+outCnt[j] > p.chunk[j+1] {
-				flush(j + 1)
-			}
-			up := p.bufAddr(j+1, bufOut, s.hot, s.cold)
-			s.m.CopyRange(src, up+outCnt[j+1]*p.rec, outCnt[j]*p.rec)
-			outCnt[j+1] += outCnt[j]
-		}
-		outCnt[j] = 0
+// flush pushes stage j's OUT buffer one stage outward (or to main
+// memory at the outermost stage).
+func (s *Sorter) flush(j int) {
+	if s.outCnt[j] == 0 {
+		return
 	}
+	p := s.p
+	src := p.bufAddr(j, bufOut, s.hot, s.cold)
+	if j == len(p.chunk)-1 {
+		s.m.CopyRange(src, s.outDst, s.outCnt[j]*p.rec)
+		s.outDst += s.outCnt[j] * p.rec
+	} else {
+		if s.outCnt[j+1]+s.outCnt[j] > p.chunk[j+1] {
+			s.flush(j + 1)
+		}
+		up := p.bufAddr(j+1, bufOut, s.hot, s.cold)
+		s.m.CopyRange(src, up+s.outCnt[j+1]*p.rec, s.outCnt[j]*p.rec)
+		s.outCnt[j+1] += s.outCnt[j]
+	}
+	s.outCnt[j] = 0
+}
+
+// merge merges the sorted runs (aOff, aCnt) and (bOff, bCnt) into dst.
+func (s *Sorter) merge(aOff, aCnt, bOff, bCnt, dst int64) {
+	p := s.p
+	a, b := &s.a, &s.b
+	a.open(aOff, aCnt)
+	b.open(bOff, bCnt)
+	clear(s.outCnt)
+	s.outDst = dst
 
 	aBuf := p.bufAddr(0, bufA, s.hot, s.cold)
 	bBuf := p.bufAddr(0, bufB, s.hot, s.cold)
 	oBuf := p.bufAddr(0, bufOut, s.hot, s.cold)
 	for {
-		haveA := s.refill(a, 0)
-		haveB := s.refill(b, 0)
+		haveA := a.pos[0] < a.cnt[0] || s.refill(a, 0)
+		haveB := b.pos[0] < b.cnt[0] || s.refill(b, 0)
 		if !haveA && !haveB {
 			break
 		}
 		var src int64
-		var st *stream
+		var st *run
 		switch {
 		case !haveB:
 			st, src = a, aBuf
@@ -314,14 +359,14 @@ func (s *sorter) merge(aOff, aCnt, bOff, bCnt, dst int64) {
 				st, src = b, bBuf
 			}
 		}
-		if outCnt[0] == p.chunk[0] {
-			flush(0)
+		if s.outCnt[0] == p.chunk[0] {
+			s.flush(0)
 		}
-		s.m.MoveRange(src+st.pos[0]*p.rec, oBuf+outCnt[0]*p.rec, p.rec)
+		s.m.MoveRange(src+st.pos[0]*p.rec, oBuf+s.outCnt[0]*p.rec, p.rec)
 		st.pos[0]++
-		outCnt[0]++
+		s.outCnt[0]++
 	}
-	for j := 0; j < K; j++ {
-		flush(j)
+	for j := range s.outCnt {
+		s.flush(j)
 	}
 }

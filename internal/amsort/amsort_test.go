@@ -3,6 +3,7 @@ package amsort
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -194,5 +195,56 @@ func TestSortProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Sort allocates a constant number of objects whatever the record
+// count: the merge cursors and OUT counts live in the sorter, not in
+// each merge.
+func TestSortAllocsIndependentOfCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	allocs := func(count int) float64 {
+		m, p, data, scratch, hot, cold := buildMachine(cost.Poly{Alpha: 0.5}, randRecords(rng, count, 3))
+		return testing.AllocsPerRun(2, func() { Sort(m, p, data, scratch, hot, cold) })
+	}
+	if few, many := allocs(1<<10), allocs(1<<13); many > few {
+		t.Errorf("Sort allocates %v objects for 2^13 records but %v for 2^10", many, few)
+	}
+}
+
+// A replanned plan is the plan NewPlan builds for the same count, and a
+// Sorter reused across plans charges exactly what fresh sorts charge,
+// allocating nothing once its cascade is deep enough.
+func TestReplanAndSorterReuse(t *testing.T) {
+	f := cost.Poly{Alpha: 0.5}
+	rng := rand.New(rand.NewSource(6))
+	counts := []int{3000, 40, 700, 3000}
+	big := NewPlan(f, 2, 1<<20)
+	var reuse *Sorter
+	var reused *Plan
+	for _, count := range counts {
+		recs := randRecords(rng, count, 2)
+		m1, p, data, scratch, hot, cold := buildMachine(f, recs)
+		m2, _, _, _, _, _ := buildMachine(f, recs)
+		if reused == nil {
+			reused = NewPlan(f, 2, 0)
+			reuse = NewSorter(m2)
+		}
+		reuse.m = m2
+		reused.Replan(int64(count))
+		if !slices.Equal(reused.chunk, p.chunk) || !slices.Equal(reused.base, p.base) || reused.total != p.total {
+			t.Fatalf("Replan(%d) = %v %v %d, NewPlan = %v %v %d", count,
+				reused.chunk, reused.base, reused.total, p.chunk, p.base, p.total)
+		}
+		c1 := Sort(m1, p, data, scratch, hot, cold)
+		c2 := reuse.Sort(reused, data, scratch, hot, cold)
+		if c1 != c2 || math.Float64bits(m1.Cost()) != math.Float64bits(m2.Cost()) || m1.Stats() != m2.Stats() {
+			t.Errorf("count %d: reused sorter charged %v (%d comparisons), fresh %v (%d)",
+				count, m2.Cost(), c2, m1.Cost(), c1)
+		}
+	}
+	big.Replan(1 << 20)
+	if n := testing.AllocsPerRun(3, func() { big.Replan(5000) }); n != 0 {
+		t.Errorf("Replan to a shallower cascade allocated %v objects", n)
 	}
 }

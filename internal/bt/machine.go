@@ -8,7 +8,9 @@
 // costs almost completely (Theorem 12's bound does not depend on f);
 // this package also provides the Fact 2 touching algorithm whose
 // Θ(n·f*(n)) cost is the model's fundamental lower bound for
-// input-examining problems.
+// input-examining problems. BlockCopy checks a transfer's ranges and
+// their disjointness once; the embedded HMM's TransferBlock then
+// charges the transfer and moves the words.
 package bt
 
 import (
@@ -97,20 +99,13 @@ func (m *Machine) BlockCopy(x, y, b int64) {
 	if srcLo <= y && dstLo <= x {
 		panic(fmt.Sprintf("bt: BlockCopy overlap: src [%d,%d] dst [%d,%d]", srcLo, x, dstLo, y))
 	}
-	c := m.CostAt(x)
-	if cy := m.CostAt(y); cy > c {
-		c = cy
-	}
-	m.AddCost(c + float64(b))
-	m.NoteAddr(x)
-	m.NoteAddr(y)
+	// The checks above are the transfer's only ones: the HMM prices and
+	// moves the pipelined block without per-word charges or checks.
+	c := m.TransferBlock(srcLo, dstLo, b)
 	m.blocks.Copies++
 	m.blocks.Words += b
-	m.blocks.Cost += c + float64(b)
+	m.blocks.Cost += c
 	m.blocks.Sizes[bits.Len64(uint64(b))]++
-	// Move the words without per-word charges or per-copy allocation:
-	// the transfer is pipelined and already paid for above.
-	m.CopyUncharged(srcLo, dstLo, b)
 }
 
 // CopyRange copies n words from [src, src+n) to [dst, dst+n) using a

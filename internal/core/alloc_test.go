@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core/btsim"
@@ -12,28 +13,32 @@ import (
 )
 
 // TestSimulatorAllocsIndependentOfSteps pins that no simulator
-// allocates per handler call or per superstep: at v = 64, each runs a
-// program of 2 and one of 40 fine supersteps with exactly as many
-// allocations. A Ctx allocated per handler call would add 64·38
+// allocates per handler call, per superstep or per delivery: at v = 64,
+// each runs a program of 2 and one of 40 fine supersteps with exactly
+// as many allocations. A Ctx allocated per handler call would add 64·38
 // objects. ComputeOnly exercises every handler loop: hmmsim's scheduler
 // and naive baseline, btsim's COMPUTE recursion (scheduled and naive)
 // and selfsim's global steps (v′ = v) and local runs (v′ = 4). Rotate
-// adds message delivery on every path but btsim's naive baseline, whose
-// full-machine sorting delivery plans each superstep afresh.
+// adds message delivery on every path: btsim's naive baseline sorts
+// over the whole machine every superstep, and btsim with direct
+// delivery disabled sorts at every cluster size.
 func TestSimulatorAllocsIndependentOfSteps(t *testing.T) {
 	const v = 64
 	f := cost.Poly{Alpha: 0.5}
 	sims := []struct {
-		name   string
-		rotate bool
-		run    func(*dbsp.Program) error
+		name string
+		run  func(*dbsp.Program) error
 	}{
-		{"hmmsim", true, func(p *dbsp.Program) error { _, err := hmmsim.Simulate(p, f, nil); return err }},
-		{"hmmsim naive", true, func(p *dbsp.Program) error { _, err := hmmsim.SimulateNaive(p, f); return err }},
-		{"btsim", true, func(p *dbsp.Program) error { _, err := btsim.Simulate(p, f, nil); return err }},
-		{"btsim naive", false, func(p *dbsp.Program) error { _, err := btsim.SimulateNaive(p, f); return err }},
-		{"selfsim v'=64", true, func(p *dbsp.Program) error { _, err := selfsim.Simulate(p, f, v, nil); return err }},
-		{"selfsim v'=4", true, func(p *dbsp.Program) error { _, err := selfsim.Simulate(p, f, 4, nil); return err }},
+		{"hmmsim", func(p *dbsp.Program) error { _, err := hmmsim.Simulate(p, f, nil); return err }},
+		{"hmmsim naive", func(p *dbsp.Program) error { _, err := hmmsim.SimulateNaive(p, f); return err }},
+		{"btsim", func(p *dbsp.Program) error { _, err := btsim.Simulate(p, f, nil); return err }},
+		{"btsim sorting delivery", func(p *dbsp.Program) error {
+			_, err := btsim.Simulate(p, f, &btsim.Options{DirectDeliveryMaxBlocks: -1})
+			return err
+		}},
+		{"btsim naive", func(p *dbsp.Program) error { _, err := btsim.SimulateNaive(p, f); return err }},
+		{"selfsim v'=64", func(p *dbsp.Program) error { _, err := selfsim.Simulate(p, f, v, nil); return err }},
+		{"selfsim v'=4", func(p *dbsp.Program) error { _, err := selfsim.Simulate(p, f, 4, nil); return err }},
 	}
 	progs := []struct {
 		name string
@@ -44,16 +49,21 @@ func TestSimulatorAllocsIndependentOfSteps(t *testing.T) {
 	}
 	for _, s := range sims {
 		for _, p := range progs {
-			if p.name == "rotate" && !s.rotate {
-				continue
-			}
+			// allocs takes the least of three counts: an allocation of the
+			// runtime or of the process-wide compile cache (a sync.Map
+			// settling its key set) can land in any one count, while one
+			// made per superstep or per delivery lands in every count.
 			allocs := func(steps int) float64 {
 				prog := p.make(steps)
-				return testing.AllocsPerRun(3, func() {
-					if err := s.run(prog); err != nil {
-						t.Fatal(err)
-					}
-				})
+				least := math.Inf(1)
+				for i := 0; i < 3; i++ {
+					least = min(least, testing.AllocsPerRun(3, func() {
+						if err := s.run(prog); err != nil {
+							t.Fatal(err)
+						}
+					}))
+				}
+				return least
 			}
 			if few, many := allocs(2), allocs(40); few != many {
 				t.Errorf("%s on %s: %v allocations at 40 supersteps but %v at 2: allocation grows with the superstep count",

@@ -1,6 +1,8 @@
 package btsim
 
 import (
+	"math/bits"
+
 	"repro/internal/amsort"
 	"repro/internal/cost"
 	"repro/internal/dbsp"
@@ -25,9 +27,12 @@ import (
 // recWords is the record width: tag, source processor, payload.
 const recWords = 3
 
-// plan captures the per-delivery region layout.
+// deliveryPlan is the region layout of a delivery for clusters of one
+// size, with the stream cascades that run over it. A run plans each
+// cluster size once (state.plan) and reuses the plan, cascades
+// included, for every delivery at that size.
 type deliveryPlan struct {
-	sortPlan *amsort.Plan
+	sortPlan *amsort.Plan // sizes the sort's regions for mcap records
 	geo      *stream.Geometry
 	hotBase  int64 // hot page start (absolute 0)
 	hotSize  int64
@@ -38,19 +43,36 @@ type deliveryPlan struct {
 	scratch  int64 // sort scratch region
 	end      int64 // total footprint in words
 	mcap     int64 // record capacity
+	// r[k] and w[k] are cascade k's reader and writer (they share its
+	// buffers, so at most one of them is open at a time); each pass
+	// reopens them over its region with Reset.
+	r [3]*stream.Reader
+	w [3]*stream.Writer
 }
 
-// planDelivery computes the layout for a cluster of n blocks.
-func (st *state) planDelivery(n int64) deliveryPlan {
-	return newDeliveryPlan(st.f, st.mu, int64(st.layout.MaxMsgs), n)
+// plan returns the delivery plan for clusters of n blocks, planning it
+// at the first delivery of that size.
+func (st *state) plan(n int64) *deliveryPlan {
+	k := bits.Len64(uint64(n)) - 1
+	if p := st.plans[k]; p != nil {
+		return p
+	}
+	p := newDeliveryPlan(st.f, st.mu, int64(st.layout.MaxMsgs), n)
+	for c := range p.r {
+		hot, cold := p.streamHot(int64(c)), p.streamCold(int64(c))
+		p.r[c] = stream.NewReader(st.m, p.geo, hot, cold, 0, 0)
+		p.w[c] = stream.NewWriter(st.m, p.geo, hot, cold, 0, 0)
+	}
+	st.plans[k] = p
+	return p
 }
 
 // newDeliveryPlan computes the delivery layout from first principles so
-// Simulate can size the machine tail before any state exists.
-func newDeliveryPlan(f cost.Func, mu, q, n int64) deliveryPlan {
+// Simulate can size the machine tail before any state exists. The
+// cascades are left to state.plan.
+func newDeliveryPlan(f cost.Func, mu, q, n int64) *deliveryPlan {
 	mcap := n * q
-	var p deliveryPlan
-	p.mcap = mcap
+	p := &deliveryPlan{mcap: mcap}
 	p.sortPlan = amsort.NewPlan(f, recWords, mcap)
 	region := n*mu + recWords*mcap
 	p.geo = stream.NewGeometry(f, region)
@@ -85,8 +107,7 @@ func deliveryFootprint(f cost.Func, mu, q, n int64) int64 {
 	if q == 0 {
 		return 0
 	}
-	p := newDeliveryPlan(f, mu, q, n)
-	return p.end + alignSlack
+	return newDeliveryPlan(f, mu, q, n).end + alignSlack
 }
 
 // dispatchDeliver chooses the delivery strategy: nothing without
@@ -112,7 +133,7 @@ func (st *state) dispatchDeliver(n int64, lo int, tr *dbsp.TransposeRoute) error
 // lo..lo+n-1).
 func (st *state) deliver(n int64, lo int) error {
 	mu := st.mu
-	p := st.planDelivery(n)
+	p := st.plan(n)
 
 	// Create the free gap [n·µ, p.end) below the cluster (Figure 7).
 	// The free space from PACK(label) is [n·µ, 2n·µ); when more is
@@ -138,13 +159,14 @@ func (st *state) deliver(n int64, lo int) error {
 	// Phase 1: extraction. Stream the contexts, zero the message
 	// counts, and append one record per outbox entry.
 	var msgs int64
-	st.phase("deliver.extract", func() { msgs = st.extract(&p, n, lo) })
+	st.phase("deliver.extract", func() { msgs = st.extract(p, n, lo) })
 
-	// Phase 2: sort the records by tag.
+	// Phase 2: sort the records by tag, replanning the run's one record
+	// sort for this count.
 	st.phase("deliver.sort", func() {
 		if msgs > 1 {
-			sp := amsort.NewPlan(st.f, recWords, msgs)
-			comps := amsort.Sort(st.m, sp, p.rec, p.scratch, p.sortHot(), p.sortCold())
+			st.recPlan.Replan(msgs)
+			comps := st.sorter.Sort(st.recPlan, p.rec, p.scratch, p.sortHot(), p.sortCold())
 			st.sortCompsC.Add(comps)
 		}
 	})
@@ -153,7 +175,7 @@ func (st *state) deliver(n int64, lo int) error {
 	var err error
 	st.phase("deliver.merge", func() {
 		if msgs > 0 {
-			err = st.mergeInboxes(&p, n, lo, msgs)
+			err = st.mergeInboxes(p, n, lo, msgs)
 		}
 	})
 	if err != nil {
@@ -245,9 +267,10 @@ func coarserLevel(st *state, label int, gap int64) int {
 func (st *state) extract(p *deliveryPlan, n int64, lo int) int64 {
 	mu := st.mu
 	l := st.layout
-	r := stream.NewReader(st.m, p.geo, p.streamHot(0), p.streamCold(0), p.ctx, n*mu)
-	w := stream.NewWriter(st.m, p.geo, p.streamHot(1), p.streamCold(1), p.ctx, n*mu)
-	rw := stream.NewWriter(st.m, p.geo, p.streamHot(2), p.streamCold(2), p.rec, recWords*p.mcap)
+	r, w, rw := p.r[0], p.w[1], p.w[2]
+	r.Reset(p.ctx, n*mu)
+	w.Reset(p.ctx, n*mu)
+	rw.Reset(p.rec, recWords*p.mcap)
 
 	// The context layout is contiguous — data, inbox count, inbox pairs,
 	// outbox count, outbox pairs — so the scan is a few special words
@@ -293,9 +316,10 @@ func (st *state) mergeInboxes(p *deliveryPlan, n int64, lo int, msgs int64) erro
 	mu := st.mu
 	l := st.layout
 	q := int64(l.MaxMsgs)
-	r := stream.NewReader(st.m, p.geo, p.streamHot(0), p.streamCold(0), p.ctx, n*mu)
-	w := stream.NewWriter(st.m, p.geo, p.streamHot(1), p.streamCold(1), p.ctx, n*mu)
-	rr := stream.NewReader(st.m, p.geo, p.streamHot(2), p.streamCold(2), p.rec, recWords*msgs)
+	r, w, rr := p.r[0], p.w[1], p.r[2]
+	r.Reset(p.ctx, n*mu)
+	w.Reset(p.ctx, n*mu)
+	rr.Reset(p.rec, recWords*msgs)
 	stash := p.stashHot()
 
 	inCountOff := int64(l.InCountOff())

@@ -3,6 +3,7 @@ package btsim
 import (
 	"fmt"
 
+	"repro/internal/amsort"
 	"repro/internal/bt"
 	"repro/internal/cost"
 	"repro/internal/dbsp"
@@ -39,6 +40,9 @@ func SimulateNaive(prog *dbsp.Program, f cost.Func) (*Result, error) {
 		posOf:     make([]int, v),
 		directMax: directDeliveryMaxBlocks,
 		guest:     dbsp.NewGuest(prog.Layout, v),
+		plans:     make([]*deliveryPlan, dbsp.Log2(v)+1),
+		recPlan:   amsort.NewPlan(f, recWords, 0),
+		sorter:    amsort.NewSorter(m),
 	}
 	for p := 0; p < v; p++ {
 		st.procOf[p] = p

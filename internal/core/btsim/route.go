@@ -34,7 +34,7 @@ func (st *state) routeDeliver(n int64, lo int, tr *dbsp.TransposeRoute) {
 	if bs == 0 || n%bs != 0 {
 		panic(fmt.Sprintf("btsim: transpose %dx%d does not tile cluster of %d", tr.M1, tr.M2, n))
 	}
-	p := st.planDelivery(n)
+	p := st.plan(n)
 
 	// Space juggling and relocation exactly as in deliver().
 	gap := p.end - n*mu
@@ -55,7 +55,7 @@ func (st *state) routeDeliver(n int64, lo int, tr *dbsp.TransposeRoute) {
 
 	// Phase 1: extract exactly one (src, payload) record per context in
 	// sender order, zeroing the message counts.
-	st.phase("deliver.extract", func() { st.extractRoute(&p, n, lo) })
+	st.phase("deliver.extract", func() { st.extractRoute(p, n, lo) })
 
 	// Phase 2: riffle the records into destination order. Each pass
 	// left-rotates the block-index bits by one: out[2i] = in[i],
@@ -68,9 +68,10 @@ func (st *state) routeDeliver(n int64, lo int, tr *dbsp.TransposeRoute) {
 			for blk := int64(0); blk < n/bs; blk++ {
 				base := blk * bs * routeRecWords
 				half := bs / 2 * routeRecWords
-				ra := stream.NewReader(st.m, p.geo, p.streamHot(0), p.streamCold(0), src+base, half)
-				rb := stream.NewReader(st.m, p.geo, p.streamHot(1), p.streamCold(1), src+base+half, half)
-				w := stream.NewWriter(st.m, p.geo, p.streamHot(2), p.streamCold(2), dst+base, 2*half)
+				ra, rb, w := p.r[0], p.r[1], p.w[2]
+				ra.Reset(src+base, half)
+				rb.Reset(src+base+half, half)
+				w.Reset(dst+base, 2*half)
 				for ra.More() {
 					w.Put(ra.Next())
 					w.Put(ra.Next())
@@ -87,7 +88,7 @@ func (st *state) routeDeliver(n int64, lo int, tr *dbsp.TransposeRoute) {
 	})
 
 	// Phase 3: merge — destination k's record is record k.
-	st.phase("deliver.merge", func() { st.mergeRoute(&p, n) })
+	st.phase("deliver.merge", func() { st.mergeRoute(p, n) })
 
 	// Undo the juggling.
 	st.phase("deliver.juggle", func() {
@@ -110,9 +111,10 @@ func (st *state) routeDeliver(n int64, lo int, tr *dbsp.TransposeRoute) {
 func (st *state) extractRoute(p *deliveryPlan, n int64, lo int) {
 	mu := st.mu
 	l := st.layout
-	r := stream.NewReader(st.m, p.geo, p.streamHot(0), p.streamCold(0), p.ctx, n*mu)
-	w := stream.NewWriter(st.m, p.geo, p.streamHot(1), p.streamCold(1), p.ctx, n*mu)
-	rw := stream.NewWriter(st.m, p.geo, p.streamHot(2), p.streamCold(2), p.rec, routeRecWords*n)
+	r, w, rw := p.r[0], p.w[1], p.w[2]
+	r.Reset(p.ctx, n*mu)
+	w.Reset(p.ctx, n*mu)
+	rw.Reset(p.rec, routeRecWords*n)
 
 	inCountOff := int64(l.InCountOff())
 	outCountOff := int64(l.OutCountOff())
@@ -144,9 +146,10 @@ func (st *state) extractRoute(p *deliveryPlan, n int64, lo int) {
 func (st *state) mergeRoute(p *deliveryPlan, n int64) {
 	mu := st.mu
 	l := st.layout
-	r := stream.NewReader(st.m, p.geo, p.streamHot(0), p.streamCold(0), p.ctx, n*mu)
-	w := stream.NewWriter(st.m, p.geo, p.streamHot(1), p.streamCold(1), p.ctx, n*mu)
-	rr := stream.NewReader(st.m, p.geo, p.streamHot(2), p.streamCold(2), p.rec, routeRecWords*n)
+	r, w, rr := p.r[0], p.w[1], p.r[2]
+	r.Reset(p.ctx, n*mu)
+	w.Reset(p.ctx, n*mu)
+	rr.Reset(p.rec, routeRecWords*n)
 
 	inCountOff := int64(l.InCountOff())
 	srcOff := int64(l.InboxOff(0))

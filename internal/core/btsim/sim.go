@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/amsort"
 	"repro/internal/bt"
 	"repro/internal/cost"
 	"repro/internal/dbsp"
@@ -85,7 +86,11 @@ type Result struct {
 }
 
 type state struct {
-	prog      *dbsp.Program // smoothed
+	prog *dbsp.Program // smoothed
+	// name and from name a failing step as the engine would: smoothed
+	// step s is superstep from[s] of the program name.
+	name      string
+	from      []int
 	m         *bt.Machine
 	f         cost.Func
 	mu        int64
@@ -101,6 +106,12 @@ type state struct {
 	noRoute   bool
 	directMax int64
 	guest     *dbsp.Guest // runs every handler call of the run
+	// plans[k] is the delivery plan for clusters of 2^k blocks, planned
+	// at the first delivery of that size; the record sort of every
+	// delivery is recPlan, replanned per record count, run by sorter.
+	plans   []*deliveryPlan
+	recPlan *amsort.Plan
+	sorter  *amsort.Sorter
 
 	// Observability (nil when Options.Obs is nil; all uses nil-safe).
 	obs           *obs.Observer
@@ -139,7 +150,7 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 		}
 		labels = smooth.LabelsBT(f, prog.Mu(), prog.V, alpha, 0)
 	}
-	run, err := smooth.Smooth(prog, labels)
+	run, from, err := smooth.Smooth(prog, labels)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +167,8 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 	}
 
 	st := &state{
-		prog: run, m: m, f: f, mu: mu, v: v, logv: dbsp.Log2(v),
+		prog: run, name: prog.Name, from: from,
+		m: m, f: f, mu: mu, v: v, logv: dbsp.Log2(v),
 		layout:    prog.Layout,
 		sNext:     make([]int, v),
 		procOf:    make([]int, v),
@@ -165,6 +177,9 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 		noRoute:   opts.DisableRouteDelivery,
 		directMax: directThreshold(opts.DirectDeliveryMaxBlocks),
 		guest:     dbsp.NewGuest(prog.Layout, v),
+		plans:     make([]*deliveryPlan, dbsp.Log2(v)+1),
+		recPlan:   amsort.NewPlan(f, recWords, 0),
+		sorter:    amsort.NewSorter(m),
 		frame:     "init",
 	}
 	for p := 0; p < v; p++ {
@@ -335,7 +350,7 @@ func (st *state) loop() error {
 				st.phase("deliver", func() { err = st.dispatchDeliver(int64(csize), lo, steps[s].Transpose) })
 			}
 			if err != nil {
-				return fmt.Errorf("btsim: program %q superstep %d: %w", st.prog.Name, s, err)
+				return fmt.Errorf("btsim: program %q superstep %d: %w", st.name, st.from[s], err)
 			}
 		}
 		for q := lo; q < lo+csize; q++ {

@@ -87,47 +87,77 @@ func TestFacadeErrorsPropagate(t *testing.T) {
 }
 
 // TestHandlerPanicIsError holds the engine and every simulator to one
-// failure mode: a handler that breaks the model — here a label-2
-// superstep sending across its 2-cluster boundary at v = 8 — makes the
-// run return an error naming the superstep and the processor, never
-// panic out of the caller. selfsim runs the step as a global step at
-// v′ = 8 and inside a local run at v′ = 2.
+// failure mode: a handler that breaks the model makes the run return an
+// error naming the input program, the engine's superstep and the
+// processor, never panic out of the caller. The first case is a label-2
+// superstep sending across its 2-cluster boundary at v = 8; selfsim runs
+// it as a global step at v′ = 8 and inside a local run at v′ = 2. In
+// the others a handler panics past superstep 0, where the smoothed
+// program the scheduled simulators run has dummy steps the input lacks
+// (labels 0, 6, 0, 6, 0 at v = 64) and selfsim's local runs start
+// mid-program (labels 0, 2, 2, 0 at v′ = 2; labels 6 at v′ = 4).
 func TestHandlerPanicIsError(t *testing.T) {
-	prog := &dbsp.Program{
-		Name:   "cross-cluster",
-		V:      8,
-		Layout: dbsp.Layout{Data: 1, MaxMsgs: 1},
-		Steps: []dbsp.Superstep{
-			{Label: 2, Run: func(c *dbsp.Ctx) { c.Send((c.ID()+4)%8, 1) }},
-			{Label: 0, Run: func(c *dbsp.Ctx) {}},
-		},
+	// panicAt builds program "idx" with the given labels, whose
+	// superstep step panics at processor proc.
+	panicAt := func(v, step, proc int, labels ...int) *dbsp.Program {
+		prog := &dbsp.Program{Name: "idx", V: v, Layout: dbsp.Layout{Data: 1}}
+		for i, l := range labels {
+			prog.Steps = append(prog.Steps, dbsp.Superstep{Label: l, Run: func(c *dbsp.Ctx) {
+				if i == step && c.ID() == proc {
+					panic("boom")
+				}
+				c.Store(0, c.Load(0)+1)
+			}})
+		}
+		return prog
 	}
 	f := cost.Poly{Alpha: 0.5}
-	runs := []struct {
-		name string
-		run  func() error
+	cases := []struct {
+		prog     *dbsp.Program
+		vPrimes  [2]int // selfsim hosts: the step runs global, then local (or local twice)
+		contains string
 	}{
-		{"dbsp.Run", func() error { _, err := dbsp.Run(prog, f); return err }},
-		{"hmmsim.Simulate", func() error { _, err := hmmsim.Simulate(prog, f, nil); return err }},
-		{"hmmsim.SimulateNaive", func() error { _, err := hmmsim.SimulateNaive(prog, f); return err }},
-		{"btsim.Simulate", func() error { _, err := btsim.Simulate(prog, f, nil); return err }},
-		{"btsim.SimulateNaive", func() error { _, err := btsim.SimulateNaive(prog, f); return err }},
-		{"selfsim.Simulate v'=8", func() error { _, err := selfsim.Simulate(prog, f, 8, nil); return err }},
-		{"selfsim.Simulate v'=2", func() error { _, err := selfsim.Simulate(prog, f, 2, nil); return err }},
+		{&dbsp.Program{
+			Name:   "cross-cluster",
+			V:      8,
+			Layout: dbsp.Layout{Data: 1, MaxMsgs: 1},
+			Steps: []dbsp.Superstep{
+				{Label: 2, Run: func(c *dbsp.Ctx) { c.Send((c.ID()+4)%8, 1) }},
+				{Label: 0, Run: func(c *dbsp.Ctx) {}},
+			},
+		}, [2]int{8, 2}, `program "cross-cluster" superstep 0: processor 0: handler panic: dbsp: proc 0: Send to 4 crosses`},
+		{panicAt(64, 3, 5, 0, 6, 0, 6, 0), [2]int{1, 4}, `program "idx" superstep 3: processor 5: handler panic: boom`},
+		{panicAt(8, 2, 5, 0, 2, 2, 0), [2]int{8, 2}, `program "idx" superstep 2: processor 5: handler panic: boom`},
 	}
-	const want = "superstep 0: processor 0: handler panic: dbsp: proc 0: Send to 4 crosses"
-	for _, r := range runs {
-		var err error
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					t.Errorf("%s panicked: %v", r.name, p)
-				}
+	for _, tc := range cases {
+		prog := tc.prog
+		runs := []struct {
+			name string
+			run  func() error
+		}{
+			{"dbsp.Run", func() error { _, err := dbsp.Run(prog, f); return err }},
+			{"hmmsim.Simulate", func() error { _, err := hmmsim.Simulate(prog, f, nil); return err }},
+			{"hmmsim.SimulateNaive", func() error { _, err := hmmsim.SimulateNaive(prog, f); return err }},
+			{"btsim.Simulate", func() error { _, err := btsim.Simulate(prog, f, nil); return err }},
+			{"btsim.SimulateNaive", func() error { _, err := btsim.SimulateNaive(prog, f); return err }},
+			{fmt.Sprintf("selfsim.Simulate v'=%d", tc.vPrimes[0]),
+				func() error { _, err := selfsim.Simulate(prog, f, tc.vPrimes[0], nil); return err }},
+			{fmt.Sprintf("selfsim.Simulate v'=%d", tc.vPrimes[1]),
+				func() error { _, err := selfsim.Simulate(prog, f, tc.vPrimes[1], nil); return err }},
+		}
+		for _, r := range runs {
+			var err error
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s on %s panicked: %v", r.name, prog.Name, p)
+					}
+				}()
+				err = r.run()
 			}()
-			err = r.run()
-		}()
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: error %v, want one containing %q", r.name, err, want)
+			if err == nil || !strings.Contains(err.Error(), tc.contains) {
+				t.Errorf("%s: error %v, want one containing %q", r.name, err, tc.contains)
+			}
 		}
 	}
 }

@@ -92,7 +92,13 @@ type Result struct {
 // tables (posOfProc/procOfBlock), which is bookkeeping of the
 // simulating program, not charged guest memory traffic.
 type state struct {
-	prog     *dbsp.Program // smoothed program
+	prog *dbsp.Program // smoothed program
+	// name, from and first name a failing step as the engine would:
+	// smoothed step s is superstep first+from[s] of the program name
+	// (from nil: first+s).
+	name     string
+	from     []int
+	first    int
 	m        *hmm.Machine
 	mu       int64
 	v        int
@@ -142,6 +148,7 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 
 	// Smooth the program over the Theorem 5 label set (or the caller's).
 	run := prog
+	var from []int
 	labels := opts.Labels
 	if opts.DisableSmoothing {
 		labels = smooth.FromProgram(prog)
@@ -157,7 +164,7 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 			labels = smooth.LabelsHMM(f, prog.Mu(), prog.V, c2)
 		}
 		var err error
-		run, err = smooth.Smooth(prog, labels)
+		run, from, err = smooth.Smooth(prog, labels)
 		if err != nil {
 			return nil, err
 		}
@@ -172,7 +179,7 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 		m.PokeRange(int64(p)*mu, ctx)
 	}
 
-	st := newState(m, run, prog.Layout, opts)
+	st := newState(m, prog.Name, run, from, 0, opts)
 	publish := m.Observe(opts.Obs, "hmm", st.ledger)
 	if err := st.loop(); err != nil {
 		return nil, err
@@ -196,14 +203,18 @@ func Simulate(prog *dbsp.Program, f cost.Func, opts *Options) (*Result, error) {
 	return res, nil
 }
 
-// newState builds the scheduler state over an existing machine.
-func newState(m *hmm.Machine, run *dbsp.Program, layout dbsp.Layout, opts *Options) *state {
+// newState builds the scheduler state over an existing machine for
+// run, the smoothing of program name, whose step s is superstep
+// first+from[s] of name (first+s when from is nil).
+func newState(m *hmm.Machine, name string, run *dbsp.Program, from []int, first int, opts *Options) *state {
 	globalV := opts.GlobalV
 	if globalV == 0 {
 		globalV = run.V
 	}
+	layout := run.Layout
 	st := &state{
-		prog: run, m: m, mu: int64(layout.Mu()), v: run.V,
+		prog: run, name: name, from: from, first: first,
+		m: m, mu: int64(layout.Mu()), v: run.V,
 		sNext:    make([]int, run.V),
 		posOf:    make([]int, run.V),
 		procOf:   make([]int, run.V),
@@ -237,21 +248,23 @@ func newState(m *hmm.Machine, run *dbsp.Program, layout dbsp.Layout, opts *Optio
 // in m (block j of the first v·µ words holds processor j's context;
 // prog.Init is ignored). It is the entry point the Theorem 10
 // self-simulation uses to run a label-shifted sub-program inside one
-// host processor's memory module. The program must be smooth over the
-// given label set (callers smooth beforehand) and end with a label-0
-// superstep; on return, block j again holds processor j's context.
-func SimulateOn(m *hmm.Machine, prog *dbsp.Program, labels []int, opts *Options) error {
+// host processor's memory module. prog is smoothed over the given label
+// set and must end with a label-0 superstep; on return, block j again
+// holds processor j's context. prog's supersteps are supersteps first,
+// first+1, … of the program it was cut from, and an error names them
+// so, under prog.Name.
+func SimulateOn(m *hmm.Machine, prog *dbsp.Program, first int, labels []int, opts *Options) error {
 	if opts == nil {
 		opts = &Options{}
 	}
 	if !prog.EndsGlobal() {
 		return fmt.Errorf("hmmsim: program %q does not end with a 0-superstep", prog.Name)
 	}
-	run, err := smooth.Smooth(prog, labels)
+	run, from, err := smooth.Smooth(prog, labels)
 	if err != nil {
 		return err
 	}
-	st := newState(m, run, prog.Layout, opts)
+	st := newState(m, prog.Name, run, from, first, opts)
 	return st.loop()
 }
 
@@ -306,7 +319,7 @@ func (st *state) loop() error {
 		// Step 2: simulate superstep s for cluster C.
 		if steps[s].Run != nil {
 			if err := st.simulateStep(s, lo, csize); err != nil {
-				return fmt.Errorf("hmmsim: program %q superstep %d: %w", st.prog.Name, s, err)
+				return fmt.Errorf("hmmsim: program %q superstep %d: %w", st.name, st.inputStep(s), err)
 			}
 		}
 		for q := lo; q < lo+csize; q++ {
@@ -337,6 +350,15 @@ func (st *state) loop() error {
 				Step: s, Label: label, N: int64(csize), Cost: st.m.Cost() - costBefore})
 		}
 	}
+}
+
+// inputStep returns the superstep of the input program that smoothed
+// step s runs.
+func (st *state) inputStep(s int) int {
+	if st.from == nil {
+		return st.first + s
+	}
+	return st.first + st.from[s]
 }
 
 // simulateStep performs Step 2: local computation for each processor of

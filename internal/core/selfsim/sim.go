@@ -189,7 +189,7 @@ func (s *sim) run() error {
 func (s *sim) localRun(steps []dbsp.Superstep, first int) error {
 	s.localRuns++
 	sub := &dbsp.Program{
-		Name:   s.prog.Name + "+local",
+		Name:   s.prog.Name,
 		V:      s.perHost,
 		Layout: s.layout,
 		Steps:  make([]dbsp.Superstep, 0, len(steps)+1),
@@ -210,7 +210,7 @@ func (s *sim) localRun(steps []dbsp.Superstep, first int) error {
 	var maxDelta float64
 	for j := 0; j < s.vPrime; j++ {
 		before := s.modules[j].Cost()
-		err := hmmsim.SimulateOn(s.modules[j], sub, labels, &hmmsim.Options{
+		err := hmmsim.SimulateOn(s.modules[j], sub, first, labels, &hmmsim.Options{
 			ProcOffset:      j * s.perHost,
 			GlobalV:         s.prog.V,
 			LabelOffset:     s.logvp,

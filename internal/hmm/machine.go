@@ -10,10 +10,15 @@
 // x1..xn takes 1 + Σ f(xi). We charge f(x) per word access plus 1 per
 // explicit compute operation (ChargeOps), which is within a constant
 // factor of the model for bounded-arity operations.
+//
+// The machine serves one model extension: TransferBlock prices and
+// moves the BT machine's pipelined block transfer (package bt), which
+// checks its ranges before calling it.
 package hmm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/cost"
@@ -103,8 +108,9 @@ func (s Stats) Accesses() int64 { return s.Reads + s.Writes }
 type Machine struct {
 	f   cost.Func
 	tab *cost.Compiled
-	// dense caches tab.Dense() so the per-word charge path is one bounds
-	// check and one slice load instead of a virtual call into math.Pow.
+	// dense caches tab.Dense(), cut to the memory size, so the per-word
+	// charge path is one bounds check and one slice load instead of a
+	// virtual call into math.Pow: an address below len(dense) is in range.
 	dense []float64
 	mem   []Word
 	stats Stats
@@ -120,7 +126,11 @@ func New(f cost.Func, size int64) *Machine {
 		panic(fmt.Sprintf("hmm: negative memory size %d", size))
 	}
 	tab := cost.Compile(f, size-1)
-	return &Machine{f: f, tab: tab, dense: tab.Dense(),
+	dense := tab.Dense()
+	if int64(len(dense)) > size {
+		dense = dense[:size]
+	}
+	return &Machine{f: f, tab: tab, dense: dense,
 		mem: make([]Word, size), stats: Stats{MaxAddr: -1}}
 }
 
@@ -197,11 +207,87 @@ func (m *Machine) charge(x int64) {
 	}
 }
 
-// foldLevel adds f(x) to the cost of x's level. The bulk operations
-// check m.levels once per call and then run a level pass that walks
-// their Cost loop's addresses in its order.
-func (m *Machine) foldLevel(x int64) {
-	m.levels[bits.Len64(uint64(x))] += m.costAt(x)
+// segment returns the bounds [lo, hi) of the power-of-two segment
+// holding x: every address in it has x's bit-length, so x's level.
+func segment(x int64) (lo, hi int64) {
+	if x == 0 {
+		return 0, 1
+	}
+	k := bits.Len64(uint64(x))
+	lo = int64(1) << uint(k-1)
+	if k < 63 {
+		return lo, lo << 1
+	}
+	return lo, math.MaxInt64
+}
+
+// foldRange adds f(x) to the cost of x's level for x ascending over
+// [lo, hi): the level pass of chargeRange. It walks each power-of-two
+// segment once, folding into one accumulator per segment in the same
+// order, so each level's sum is bit-identical to a per-address fold.
+func (m *Machine) foldRange(lo, hi int64) {
+	for x := lo; x < hi; {
+		_, end := segment(x)
+		end = min(end, hi)
+		k := bits.Len64(uint64(x))
+		c := m.levels[k]
+		for ; x < end; x++ {
+			c += m.costAt(x)
+		}
+		m.levels[k] = c
+	}
+}
+
+// foldPairs adds to the level costs, for i = 0, …, n-1 (n-1, …, 0 when
+// desc), reps rounds of f(a+i) then f(b+i): the order the Cost loops of
+// MoveRange and StreamWords (reps 1) and SwapRange (reps 2) charge in.
+// It walks each stretch of i over which both addresses keep their
+// levels once; where the two levels differ each has its own
+// accumulator, and where they coincide one accumulator takes the
+// interleaved sequence, so each level's sum is bit-identical to a
+// per-address fold in the Cost loop's order.
+func (m *Machine) foldPairs(a, b, n int64, desc bool, reps int) {
+	for done := int64(0); done < n; {
+		// The stretch is [i, j) of indices, walked from i up or from j-1 down.
+		var i, j int64
+		if !desc {
+			i = done
+			_, ea := segment(a + i)
+			_, eb := segment(b + i)
+			j = min(n, ea-a, eb-b)
+		} else {
+			j = n - done
+			sa, _ := segment(a + j - 1)
+			sb, _ := segment(b + j - 1)
+			i = max(0, sa-a, sb-b)
+		}
+		done += j - i
+		ka, kb := bits.Len64(uint64(a+i)), bits.Len64(uint64(b+i))
+		ca, cb := m.levels[ka], m.levels[kb]
+		for s := int64(0); s < j-i; s++ {
+			x := i + s
+			if desc {
+				x = j - 1 - s
+			}
+			fa, fb := m.costAt(a+x), m.costAt(b+x)
+			if ka == kb {
+				for r := 0; r < reps; r++ {
+					ca += fa
+					ca += fb
+				}
+				continue
+			}
+			for r := 0; r < reps; r++ {
+				ca += fa
+				cb += fb
+			}
+		}
+		if ka == kb {
+			m.levels[ka] = ca
+		} else {
+			m.levels[ka], m.levels[kb] = ca, cb
+		}
+	}
 }
 
 // costAt returns f(x) through the compiled table (bit-identical to the
@@ -213,8 +299,8 @@ func (m *Machine) costAt(x int64) float64 {
 	return m.tab.Cost(x)
 }
 
-// CostAt returns f(x) without charging it — for model extensions (the
-// BT machine prices block transfers by endpoint costs) and assertions.
+// CostAt returns f(x) without charging it — for assertions and
+// reports.
 func (m *Machine) CostAt(x int64) float64 {
 	m.checkAddr(x)
 	return m.costAt(x)
@@ -243,9 +329,7 @@ func (m *Machine) chargeRange(lo, hi int64) {
 	}
 	m.bumpDepthRange(lo, hi)
 	if m.levels != nil {
-		for x := lo; x < hi; x++ {
-			m.foldLevel(x)
-		}
+		m.foldRange(lo, hi)
 	}
 }
 
@@ -254,51 +338,71 @@ func (m *Machine) chargeRange(lo, hi int64) {
 // charge per word).
 func (m *Machine) bumpDepthRange(lo, hi int64) {
 	for x := lo; x < hi; {
-		k := bits.Len64(uint64(x))
-		bhi := hi
-		if k < 63 {
-			if b := int64(1) << uint(k); b < hi {
-				bhi = b
-			}
-		}
-		m.stats.Depth[k] += bhi - x
-		x = bhi
+		_, end := segment(x)
+		end = min(end, hi)
+		m.stats.Depth[bits.Len64(uint64(x))] += end - x
+		x = end
 	}
 }
 
 // Read returns the word at address x, charging f(x).
+//
+// Read and Write account an unobserved access inside the dense cost
+// prefix (which lies within memory) in line, exactly as charge would,
+// and check every other access before leaving it to charge. Keep them
+// too large to inline: an inlinable Read would grow the handler
+// context's load past the inlining budget.
 func (m *Machine) Read(x int64) Word {
-	m.checkAddr(x)
-	m.charge(x)
+	if uint64(x) < uint64(len(m.dense)) && m.levels == nil {
+		m.stats.Cost += m.dense[x]
+		if x > m.stats.MaxAddr {
+			m.stats.MaxAddr = x
+		}
+		m.stats.Depth[bits.Len64(uint64(x))]++
+	} else {
+		m.checkAddr(x)
+		m.charge(x)
+	}
 	m.stats.Reads++
 	return m.mem[x]
 }
 
-// Write stores v at address x, charging f(x).
+// Write stores v at address x, charging f(x). See Read for its fast path.
 func (m *Machine) Write(x int64, v Word) {
-	m.checkAddr(x)
-	m.charge(x)
+	if uint64(x) < uint64(len(m.dense)) && m.levels == nil {
+		m.stats.Cost += m.dense[x]
+		if x > m.stats.MaxAddr {
+			m.stats.MaxAddr = x
+		}
+		m.stats.Depth[bits.Len64(uint64(x))]++
+	} else {
+		m.checkAddr(x)
+		m.charge(x)
+	}
 	m.stats.Writes++
 	m.mem[x] = v
 }
 
-// AddCost charges raw model time without touching memory or operation
-// counters. It exists for model extensions (the BT machine charges its
-// pipelined block transfers this way). It panics if c is negative.
-func (m *Machine) AddCost(c float64) {
-	if c < 0 {
-		panic("hmm: negative cost")
+// TransferBlock performs the BT model's pipelined block transfer of the
+// b words [src, src+b) onto [dst, dst+b): it charges
+// max(f(src+b-1), f(dst+b-1)) + b, notes both block ends as touched,
+// moves the words like copy() and returns the charged cost. It counts
+// no word accesses and checks nothing beyond the slice bounds: its
+// caller, bt.Machine.BlockCopy, has checked both ranges and their
+// disjointness.
+func (m *Machine) TransferBlock(src, dst, b int64) float64 {
+	x, y := src+b-1, dst+b-1
+	c := m.costAt(x)
+	if cy := m.costAt(y); cy > c {
+		c = cy
 	}
+	c += float64(b)
 	m.stats.Cost += c
-}
-
-// NoteAddr records x as touched for MaxAddr tracking without charging
-// cost — used by block-transfer extensions whose cost is charged via
-// AddCost but which still move data across the address space.
-func (m *Machine) NoteAddr(x int64) {
-	if x > m.stats.MaxAddr {
-		m.stats.MaxAddr = x
+	if hi := max(x, y); hi > m.stats.MaxAddr {
+		m.stats.MaxAddr = hi
 	}
+	copy(m.mem[dst:dst+b], m.mem[src:src+b])
+	return c
 }
 
 // ChargeOps charges n unit-time compute operations (no memory touched).
@@ -348,17 +452,7 @@ func (m *Machine) MoveRange(src, dst, n int64) {
 	}
 	m.stats.Cost = c
 	if m.levels != nil {
-		if dst < src {
-			for i := int64(0); i < n; i++ {
-				m.foldLevel(src + i)
-				m.foldLevel(dst + i)
-			}
-		} else {
-			for i := n - 1; i >= 0; i-- {
-				m.foldLevel(src + i)
-				m.foldLevel(dst + i)
-			}
-		}
+		m.foldPairs(src, dst, n, dst >= src, 1)
 	}
 	copy(m.mem[dst:dst+n], m.mem[src:src+n])
 	m.stats.Reads += n
@@ -397,12 +491,7 @@ func (m *Machine) SwapRange(a, b, n int64) {
 	}
 	m.stats.Cost = c
 	if m.levels != nil {
-		for i := int64(0); i < n; i++ {
-			m.foldLevel(a + i)
-			m.foldLevel(b + i)
-			m.foldLevel(a + i)
-			m.foldLevel(b + i)
-		}
+		m.foldPairs(a, b, n, false, 2)
 	}
 	m.stats.Reads += 2 * n
 	m.stats.Writes += 2 * n
@@ -438,10 +527,7 @@ func (m *Machine) StreamWords(src, dst, n int64) {
 	}
 	m.stats.Cost = c
 	if m.levels != nil {
-		for i := int64(0); i < n; i++ {
-			m.foldLevel(src + i)
-			m.foldLevel(dst + i)
-		}
+		m.foldPairs(src, dst, n, false, 1)
 	}
 	copy(m.mem[dst:dst+n], m.mem[src:src+n])
 	m.stats.Reads += n
@@ -539,20 +625,4 @@ func (m *Machine) PokeRange(addr int64, src []Word) {
 	m.checkAddr(addr)
 	m.checkAddr(addr + n - 1)
 	copy(m.mem[addr:addr+n], src)
-}
-
-// CopyUncharged moves n words from [src, src+n) to [dst, dst+n) like
-// copy(), without charging cost or touching counters. It exists for
-// model extensions that price data movement themselves (the BT machine
-// charges a pipelined block transfer via AddCost and moves the words
-// with this).
-func (m *Machine) CopyUncharged(src, dst, n int64) {
-	if n == 0 {
-		return
-	}
-	m.checkAddr(src)
-	m.checkAddr(src + n - 1)
-	m.checkAddr(dst)
-	m.checkAddr(dst + n - 1)
-	copy(m.mem[dst:dst+n], m.mem[src:src+n])
 }

@@ -587,19 +587,27 @@ func TestCostAt(t *testing.T) {
 	}
 }
 
-// CopyUncharged moves words without touching the accounting.
-func TestCopyUncharged(t *testing.T) {
-	m := newFlat(16)
+// TransferBlock charges max(f(src end), f(dst end)) + b, notes the
+// higher block end as touched, counts no word access and moves the
+// words like copy().
+func TestTransferBlock(t *testing.T) {
+	f := cost.Poly{Alpha: 0.5}
+	m := New(f, 64)
 	for i := int64(0); i < 4; i++ {
-		m.Poke(i, i+1)
+		m.Poke(40+i, i+1)
 	}
-	m.CopyUncharged(0, 8, 4)
+	want := f.Cost(43) + 4
+	if got := m.TransferBlock(40, 8, 4); got != want {
+		t.Errorf("TransferBlock returned %v, want %v", got, want)
+	}
 	for i := int64(0); i < 4; i++ {
 		if m.Peek(8+i) != i+1 {
-			t.Fatalf("CopyUncharged: [%d] = %d, want %d", 8+i, m.Peek(8+i), i+1)
+			t.Fatalf("TransferBlock: [%d] = %d, want %d", 8+i, m.Peek(8+i), i+1)
 		}
 	}
-	if m.Cost() != 0 || m.Stats().Accesses() != 0 {
-		t.Errorf("CopyUncharged charged cost=%g accesses=%d", m.Cost(), m.Stats().Accesses())
+	st := m.Stats()
+	if st.Cost != want || st.Accesses() != 0 || st.MaxAddr != 43 {
+		t.Errorf("TransferBlock accounting: cost=%g accesses=%d maxAddr=%d, want %g, 0, 43",
+			st.Cost, st.Accesses(), st.MaxAddr, want)
 	}
 }

@@ -30,9 +30,12 @@ import (
 // Handlers are shared with the original program; the rewrite never
 // changes what a processor computes or whom it may message (labels only
 // decrease, and an i-legal message is legal in any coarser cluster).
-func Smooth(prog *dbsp.Program, labels []int) (*dbsp.Program, error) {
+// from[s] is the index in prog of the superstep that output step s
+// runs, or, for a dummy, of the superstep it was inserted before, so a
+// simulator can name a failing step as the engine does.
+func Smooth(prog *dbsp.Program, labels []int) (out *dbsp.Program, from []int, err error) {
 	if err := ValidateLabels(labels, prog.LogV()); err != nil {
-		return nil, fmt.Errorf("smooth: program %q: %w", prog.Name, err)
+		return nil, nil, fmt.Errorf("smooth: program %q: %w", prog.Name, err)
 	}
 	// downgrade[i] = index in L of the largest label <= i.
 	downgrade := make([]int, prog.LogV()+1)
@@ -51,27 +54,30 @@ func Smooth(prog *dbsp.Program, labels []int) (*dbsp.Program, error) {
 		n += max(0, prev-1-downgrade[st.Label])
 		prev = downgrade[st.Label]
 	}
-	out := &dbsp.Program{
+	out = &dbsp.Program{
 		Name:   prog.Name + "+smooth",
 		V:      prog.V,
 		Layout: prog.Layout,
 		Init:   prog.Init,
 		Steps:  make([]dbsp.Superstep, 0, n),
 	}
+	from = make([]int, 0, n)
 	prev = -1
-	for _, st := range prog.Steps {
+	for i, st := range prog.Steps {
 		cur := downgrade[st.Label]
 		// Insert dummies to descend one L-level at a time.
 		for d := prev - 1; d > cur; d-- {
 			out.Steps = append(out.Steps, dbsp.Superstep{Label: labels[d], Run: nil})
+			from = append(from, i)
 		}
 		out.Steps = append(out.Steps, dbsp.Superstep{Label: labels[cur], Run: st.Run, Transpose: st.Transpose})
+		from = append(from, i)
 		prev = cur
 	}
 	if !out.IsSmooth(labels) {
-		return nil, fmt.Errorf("smooth: internal error: output of Smooth is not L-smooth")
+		return nil, nil, fmt.Errorf("smooth: internal error: output of Smooth is not L-smooth")
 	}
-	return out, nil
+	return out, from, nil
 }
 
 // ValidateLabels checks that labels is strictly increasing, starts at 0

@@ -47,7 +47,7 @@ func TestValidateLabels(t *testing.T) {
 func TestSmoothUpgradesLabels(t *testing.T) {
 	// L = {0, 2, 4}; labels 1 and 3 must be upgraded to 0 and 2.
 	prog := progWithLabels(16, 3, 1, 0)
-	out, err := Smooth(prog, []int{0, 2, 4})
+	out, _, err := Smooth(prog, []int{0, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestSmoothUpgradesLabels(t *testing.T) {
 func TestSmoothInsertsDummies(t *testing.T) {
 	// Sequence 4 then 0 over L = {0,1,2,3,4} needs dummies 3, 2, 1.
 	prog := progWithLabels(16, 4, 0)
-	out, err := Smooth(prog, []int{0, 1, 2, 3, 4})
+	out, _, err := Smooth(prog, []int{0, 1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSmoothInsertsDummies(t *testing.T) {
 
 func TestSmoothAscentNeedsNoDummies(t *testing.T) {
 	prog := progWithLabels(16, 0, 4, 4, 0) // refine freely; one coarsening 4->0
-	out, err := Smooth(prog, []int{0, 4})
+	out, _, err := Smooth(prog, []int{0, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSmoothAscentNeedsNoDummies(t *testing.T) {
 
 func TestSmoothPreservesSemantics(t *testing.T) {
 	prog := progWithLabels(16, 4, 2, 3, 0)
-	out, err := Smooth(prog, []int{0, 1, 2, 3, 4})
+	out, _, err := Smooth(prog, []int{0, 1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestSmoothPreservesSemantics(t *testing.T) {
 }
 
 func TestSmoothRejectsBadLabelSet(t *testing.T) {
-	if _, err := Smooth(progWithLabels(16, 0), []int{0, 3}); err == nil {
+	if _, _, err := Smooth(progWithLabels(16, 0), []int{0, 3}); err == nil {
 		t.Error("label set not ending at log v accepted")
 	}
 }
@@ -234,13 +234,17 @@ func TestSmoothProperty(t *testing.T) {
 		labels[len(labels)-1] = 0 // end global
 		prog := progWithLabels(16, labels...)
 		L := []int{0, 1, 2, 3, 4}
-		out, err := Smooth(prog, L)
-		if err != nil {
+		out, from, err := Smooth(prog, L)
+		if err != nil || len(from) != len(out.Steps) {
 			return false
 		}
+		// Every input step runs once, in order, and from names it.
 		real := 0
-		for _, st := range out.Steps {
+		for s, st := range out.Steps {
 			if st.Run != nil {
+				if from[s] != real {
+					return false
+				}
 				real++
 			}
 		}

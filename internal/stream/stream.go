@@ -110,12 +110,23 @@ type Reader struct {
 // and outer stages at [cold, cold+g.ColdWords()). All three regions
 // must be disjoint.
 func NewReader(m *bt.Machine, g *Geometry, hot, cold, off, words int64) *Reader {
+	K := len(g.chunk)
+	r := &Reader{m: m, g: g, hot: hot, cold: cold,
+		pos: make([]int64, K), cnt: make([]int64, K)}
+	r.Reset(off, words)
+	return r
+}
+
+// Reset reopens the reader over [off, off+words) with the same machine,
+// geometry and buffers, discarding anything still staged: a caller that
+// streams many regions through one cascade allocates it once.
+func (r *Reader) Reset(off, words int64) {
 	if words < 0 {
 		panic(fmt.Sprintf("stream: negative region size %d", words))
 	}
-	K := len(g.chunk)
-	return &Reader{m: m, g: g, hot: hot, cold: cold, off: off, left: words,
-		pos: make([]int64, K), cnt: make([]int64, K), total: words}
+	r.off, r.left, r.done, r.total = off, words, 0, words
+	clear(r.pos)
+	clear(r.cnt)
 }
 
 // More reports whether unread words remain.
@@ -153,21 +164,33 @@ func (r *Reader) refill(j int) bool {
 	return true
 }
 
-// Peek returns the next word without consuming it. It panics when the
-// stream is exhausted.
-func (r *Reader) Peek() int64 {
+// fill refills the empty stage-0 buffer. Peek and Next test the buffer
+// in line and call it only when it is empty; it panics when the stream
+// is exhausted.
+func (r *Reader) fill() {
 	if !r.More() {
 		panic("stream: Peek past end")
 	}
 	if !r.refill(0) {
 		panic("stream: refill failed with words remaining")
 	}
+}
+
+// Peek returns the next word without consuming it. It panics when the
+// stream is exhausted.
+func (r *Reader) Peek() int64 {
+	if r.pos[0] == r.cnt[0] {
+		r.fill()
+	}
 	return r.m.Read(r.hot + r.pos[0])
 }
 
 // Next consumes and returns the next word.
 func (r *Reader) Next() int64 {
-	w := r.Peek()
+	if r.pos[0] == r.cnt[0] {
+		r.fill()
+	}
+	w := r.m.Read(r.hot + r.pos[0])
 	r.pos[0]++
 	r.done++
 	return w
@@ -191,8 +214,17 @@ type Writer struct {
 // buffer at hot (O(1) addresses) and outer stages at cold; the regions
 // must be disjoint from each other and from any other cascade.
 func NewWriter(m *bt.Machine, g *Geometry, hot, cold, off, capacity int64) *Writer {
-	return &Writer{m: m, g: g, hot: hot, cold: cold, off: off, cap: capacity,
-		cnt: make([]int64, len(g.chunk))}
+	w := &Writer{m: m, g: g, hot: hot, cold: cold, cnt: make([]int64, len(g.chunk))}
+	w.Reset(off, capacity)
+	return w
+}
+
+// Reset reopens the writer over [off, off+capacity) with the same
+// machine, geometry and buffers. Words staged and not yet drained by
+// Close are dropped.
+func (w *Writer) Reset(off, capacity int64) {
+	w.off, w.cap, w.put = off, capacity, 0
+	clear(w.cnt)
 }
 
 // Written returns the words accepted so far.
@@ -254,11 +286,11 @@ func Pipe(r *Reader, w *Writer, n int64) {
 		panic("stream: Pipe across machines")
 	}
 	for n > 0 {
-		if !r.More() {
-			panic("stream: Pipe past end")
-		}
-		if !r.refill(0) {
-			panic("stream: refill failed with words remaining")
+		if r.pos[0] == r.cnt[0] {
+			if !r.More() {
+				panic("stream: Pipe past end")
+			}
+			r.fill()
 		}
 		if w.put >= w.cap || w.cnt[0] == w.g.chunk[0] {
 			w.Put(r.Next())

@@ -327,3 +327,46 @@ func TestPipeAcrossMachinesPanics(t *testing.T) {
 	}()
 	Pipe(r, w, 10)
 }
+
+// A reader and writer reopened with Reset, after a partial pass that
+// left words staged, copy a region exactly like freshly opened ones:
+// same words, same cost bits, same statistics.
+func TestResetMatchesFresh(t *testing.T) {
+	f := cost.Poly{Alpha: 0.5}
+	const n = 700
+	copyRegion := func(reuse bool) *bt.Machine {
+		m, g, off := build(f, n)
+		rh, rc := hotcold(g, 0)
+		wh, wc := hotcold(g, 1)
+		dst := off + n
+		r := NewReader(m, g, rh, rc, off, n)
+		w := NewWriter(m, g, wh, wc, dst, n)
+		if reuse {
+			for i := 0; i < 100; i++ {
+				w.Put(r.Next())
+			}
+			m.ResetStats()
+			r.Reset(off, n)
+			w.Reset(dst, n)
+		}
+		for r.More() {
+			w.Put(r.Next())
+		}
+		w.Close()
+		return m
+	}
+	fresh, reused := copyRegion(false), copyRegion(true)
+	if a, b := fresh.Cost(), reused.Cost(); math.Float64bits(a) != math.Float64bits(b) {
+		t.Errorf("reset cascade charged %v, fresh %v", b, a)
+	}
+	if fresh.Stats() != reused.Stats() || fresh.BlockStats() != reused.BlockStats() {
+		t.Errorf("statistics diverged:\nfresh %+v %+v\nreset %+v %+v",
+			fresh.Stats(), fresh.BlockStats(), reused.Stats(), reused.BlockStats())
+	}
+	_, _, off := build(f, n)
+	for i := int64(0); i < n; i++ {
+		if got := reused.Peek(off + n + i); got != 1000+i {
+			t.Fatalf("word %d = %d after reset copy, want %d", i, got, 1000+i)
+		}
+	}
+}
