@@ -76,8 +76,18 @@ func (l Layout) Validate() error {
 // context slice, with τ (one unit per word accessed, plus Work) counted
 // on the Ctx. A simulator's is the window [base, base+µ) of a host HMM
 // machine (a BT machine's embedded HMM, or a selfsim memory module),
-// which charges every access and Work unit.
+// which charges every access and Work unit. Each accessor branches once
+// on its backing. Load, Store and NumRecv inline into the handler, so on
+// the engine a data word in range, or the inbox count, costs one bounds
+// test, one slice access and one op; anything else — a simulator
+// window, or an index outside the data region, which panics — goes to
+// one out-of-line helper. Keep the three under the inlining budget: CI
+// fails when go build -gcflags=-m stops reporting them inlinable. Recv
+// and Send stay out of line and touch the engine slice or the host
+// machine directly, in the same word order on both backings; each
+// backing keeps every check and its panic text.
 type Ctx struct {
+	data   []Word       // engine backing: the context's data region; nil for a window
 	mem    []Word       // engine backing: the processor's context
 	ops    int64        // engine backing: τ so far
 	m      *hmm.Machine // simulator backing, nil for the engine
@@ -86,23 +96,6 @@ type Ctx struct {
 	id     int // processor id
 	v      int // machine size
 	label  int // current superstep label, for send validation
-}
-
-func (c *Ctx) load(off int) Word {
-	if c.m != nil {
-		return c.m.Read(c.base + int64(off))
-	}
-	c.ops++
-	return c.mem[off]
-}
-
-func (c *Ctx) put(off int, v Word) {
-	if c.m != nil {
-		c.m.Write(c.base+int64(off), v)
-		return
-	}
-	c.ops++
-	c.mem[off] = v
 }
 
 // ID returns the processor id in [0, V).
@@ -116,18 +109,38 @@ func (c *Ctx) Label() int { return c.label }
 
 // Load returns data word i.
 func (c *Ctx) Load(i int) Word {
+	if uint(i) < uint(len(c.data)) {
+		c.ops++
+		return c.data[i]
+	}
+	return c.loadChecked(i)
+}
+
+// loadChecked is Load's out-of-line path: a simulator window, whose
+// data is nil, or an engine index outside the data region, which panics.
+func (c *Ctx) loadChecked(i int) Word {
 	if i < 0 || i >= c.layout.Data {
 		panic(fmt.Sprintf("dbsp: proc %d: Load(%d) outside data region [0,%d)", c.id, i, c.layout.Data))
 	}
-	return c.load(i)
+	return c.m.Read(c.base + int64(i))
 }
 
 // Store sets data word i to val.
 func (c *Ctx) Store(i int, val Word) {
+	if uint(i) < uint(len(c.data)) {
+		c.ops++
+		c.data[i] = val
+	} else {
+		c.storeChecked(i, val)
+	}
+}
+
+// storeChecked is Store's counterpart of loadChecked.
+func (c *Ctx) storeChecked(i int, val Word) {
 	if i < 0 || i >= c.layout.Data {
 		panic(fmt.Sprintf("dbsp: proc %d: Store(%d) outside data region [0,%d)", c.id, i, c.layout.Data))
 	}
-	c.put(i, val)
+	c.m.Write(c.base+int64(i), val)
 }
 
 // Work charges n extra units of local computation beyond the memory
@@ -146,7 +159,9 @@ func (c *Ctx) Work(n int64) {
 // Send queues a constant-size message to processor dest, which must lie
 // in the sender's current cluster (an i-superstep may only communicate
 // within i-clusters). It panics on cluster violations and outbox
-// overflow — both are bugs in the program, not runtime conditions.
+// overflow — both are bugs in the program, not runtime conditions. It
+// reads the outbox count, then writes the entry's dest and payload
+// words and the new count: τ 4 on the engine.
 func (c *Ctx) Send(dest int, payload Word) {
 	if dest < 0 || dest >= c.v {
 		panic(fmt.Sprintf("dbsp: proc %d: Send to invalid processor %d", c.id, dest))
@@ -154,28 +169,64 @@ func (c *Ctx) Send(dest int, payload Word) {
 	if !SameCluster(c.v, c.label, c.id, dest) {
 		panic(fmt.Sprintf("dbsp: proc %d: Send to %d crosses %d-cluster boundary", c.id, dest, c.label))
 	}
-	n := int(c.load(c.layout.OutCountOff()))
+	count := c.layout.OutCountOff()
+	if c.m == nil {
+		n := int(c.mem[count])
+		if n >= c.layout.MaxMsgs {
+			panic(fmt.Sprintf("dbsp: proc %d: outbox overflow (MaxMsgs=%d)", c.id, c.layout.MaxMsgs))
+		}
+		off := c.layout.OutboxOff(n)
+		c.mem[off], c.mem[off+1], c.mem[count] = Word(dest), payload, Word(n+1)
+		c.ops += 4
+		return
+	}
+	a := c.base + int64(count)
+	n := int(c.m.Read(a))
 	if n >= c.layout.MaxMsgs {
 		panic(fmt.Sprintf("dbsp: proc %d: outbox overflow (MaxMsgs=%d)", c.id, c.layout.MaxMsgs))
 	}
-	c.put(c.layout.OutboxOff(n), Word(dest))
-	c.put(c.layout.OutboxOff(n)+1, payload)
-	c.put(c.layout.OutCountOff(), Word(n+1))
+	entry := c.base + int64(c.layout.OutboxOff(n))
+	c.m.Write(entry, Word(dest))
+	c.m.Write(entry+1, payload)
+	c.m.Write(a, Word(n+1))
 }
 
 // NumRecv returns the number of messages delivered by the previous
 // superstep.
-func (c *Ctx) NumRecv() int { return int(c.load(c.layout.InCountOff())) }
+func (c *Ctx) NumRecv() int {
+	if c.m == nil {
+		c.ops++
+		return int(c.mem[c.layout.InCountOff()])
+	}
+	return c.numRecvWindow()
+}
+
+// numRecvWindow is NumRecv for a simulator window. It stays out of line
+// so that NumRecv fits the inlining budget.
+//
+//go:noinline
+func (c *Ctx) numRecvWindow() int {
+	return int(c.m.Read(c.base + int64(c.layout.InCountOff())))
+}
 
 // Recv returns received message k: its sender and payload. Messages are
 // ordered by ascending sender id (and send order within a sender) —
-// identical in the engine and in every simulator.
+// identical in the engine and in every simulator. It reads the inbox
+// count, then the entry's src and payload words: τ 3 on the engine.
 func (c *Ctx) Recv(k int) (src int, payload Word) {
-	n := c.NumRecv()
-	if k < 0 || k >= n {
+	count, off := c.layout.InCountOff(), c.layout.InboxOff(k)
+	if c.m == nil {
+		if n := int(c.mem[count]); k < 0 || k >= n {
+			panic(fmt.Sprintf("dbsp: proc %d: Recv(%d) with %d messages", c.id, k, n))
+		}
+		c.ops += 3
+		return int(c.mem[off]), c.mem[off+1]
+	}
+	if n := int(c.m.Read(c.base + int64(count))); k < 0 || k >= n {
 		panic(fmt.Sprintf("dbsp: proc %d: Recv(%d) with %d messages", c.id, k, n))
 	}
-	return int(c.load(c.layout.InboxOff(k))), c.load(c.layout.InboxOff(k) + 1)
+	a := c.base + int64(off)
+	return int(c.m.Read(a)), c.m.Read(a + 1)
 }
 
 // catch, deferred around a loop of handler calls, turns a handler panic

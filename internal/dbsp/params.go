@@ -66,7 +66,15 @@ func ClusterSize(v, label int) int { return v >> uint(label) }
 // C^(i)_j: the clusters partition processors into contiguous runs of
 // v/2^i, consistent with the binary decomposition tree
 // C^(i)_j = C^(i+1)_{2j} ∪ C^(i+1)_{2j+1}.
-func ClusterIndex(v, label, p int) int { return p / ClusterSize(v, label) }
+//
+// ClusterIndex and SameCluster replace the division by v/2^i with a
+// shift and an xor, which is exact when v is a power of two,
+// 0 <= label <= log v and p, q >= 0. Their callers guarantee it:
+// Program.Validate holds v and every superstep label to it, Ctx.Send
+// range-checks dest before its cluster test, LocalityLevel and the
+// invariant checker's cluster test take message endpoints the engine
+// produced, and progtest's rotate handler passes its own id.
+func ClusterIndex(v, label, p int) int { return p >> uint(Log2(v)-label) }
 
 // ClusterRange returns the processor interval [lo, hi) of i-cluster j.
 func ClusterRange(v, label, j int) (lo, hi int) {
@@ -75,9 +83,10 @@ func ClusterRange(v, label, j int) (lo, hi int) {
 }
 
 // SameCluster reports whether processors p and q lie in the same
-// i-cluster.
+// i-cluster: whether they agree on every bit above the cluster size's,
+// under ClusterIndex's precondition.
 func SameCluster(v, label, p, q int) bool {
-	return ClusterIndex(v, label, p) == ClusterIndex(v, label, q)
+	return p^q < ClusterSize(v, label)
 }
 
 // CommCost returns the charge per message of an h-relation executed in

@@ -50,6 +50,24 @@ func TestClusterHelpers(t *testing.T) {
 	if !SameCluster(v, 2, 4, 7) || SameCluster(v, 2, 3, 4) {
 		t.Error("SameCluster boundary wrong at label 2")
 	}
+	// The shift and xor forms against the division form p / (v/2^i),
+	// exhaustively for v = 2^0 … 2^10, every label and every p, q < v.
+	for logv := 0; logv <= 10; logv++ {
+		v := 1 << logv
+		for label := 0; label <= logv; label++ {
+			size := v >> label
+			for p := 0; p < v; p++ {
+				if got, want := ClusterIndex(v, label, p), p/size; got != want {
+					t.Fatalf("ClusterIndex(%d,%d,%d) = %d, want %d", v, label, p, got, want)
+				}
+				for q := 0; q < v; q++ {
+					if got, want := SameCluster(v, label, p, q), p/size == q/size; got != want {
+						t.Fatalf("SameCluster(%d,%d,%d,%d) = %v, want %v", v, label, p, q, got, want)
+					}
+				}
+			}
+		}
+	}
 	// Binary decomposition tree: C(i)_j = C(i+1)_{2j} ∪ C(i+1)_{2j+1}.
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 1<<i; j++ {

@@ -298,52 +298,6 @@ func TestTreeSumProperty(t *testing.T) {
 	}
 }
 
-func TestCtxAccessors(t *testing.T) {
-	prog := &Program{
-		Name:   "accessors",
-		V:      8,
-		Layout: Layout{Data: 1, MaxMsgs: 1},
-		Steps: []Superstep{{Label: 2, Run: func(c *Ctx) {
-			if c.V() != 8 || c.Label() != 2 {
-				panic("bad V or Label")
-			}
-			c.Work(5)
-		}}},
-	}
-	res, err := Run(prog, cost.Log{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Steps[0].Tau != 5 {
-		t.Errorf("Work(5) gave τ=%d, want 5", res.Steps[0].Tau)
-	}
-}
-
-func TestCtxPanicsOnBadAccess(t *testing.T) {
-	cases := []func(c *Ctx){
-		func(c *Ctx) { c.Load(-1) },
-		func(c *Ctx) { c.Load(1) }, // data region is 1 word
-		func(c *Ctx) { c.Store(1, 0) },
-		func(c *Ctx) { c.Work(-1) },
-		func(c *Ctx) { c.Send(-1, 0) },
-		func(c *Ctx) { c.Send(99, 0) },
-		func(c *Ctx) { c.Recv(0) }, // empty inbox
-	}
-	for i, fn := range cases {
-		prog := &Program{
-			Name: "panic", V: 8, Layout: Layout{Data: 1, MaxMsgs: 1},
-			Steps: []Superstep{{Label: 0, Run: func(c *Ctx) {
-				if c.ID() == 0 {
-					fn(c)
-				}
-			}}},
-		}
-		if _, err := Run(prog, cost.Log{}); err == nil {
-			t.Errorf("case %d: bad access not rejected", i)
-		}
-	}
-}
-
 func TestOutboxOverflowRejected(t *testing.T) {
 	prog := &Program{
 		Name: "outbox-overflow", V: 4, Layout: Layout{Data: 1, MaxMsgs: 1},

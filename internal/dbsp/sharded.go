@@ -249,7 +249,7 @@ func (e *shardEngine) handleShard(s, label int, run func(*Ctx)) {
 	defer c.catch(&e.errs[s])
 	for p := lo; p < hi; p++ {
 		ctx := e.ctxs[p]
-		c.mem, c.ops, c.id = ctx, 0, p
+		c.data, c.mem, c.ops, c.id = ctx[:l.Data], ctx, 0, p
 		run(c)
 		tau = max(tau, c.ops)
 		ctx[l.InCountOff()] = 0

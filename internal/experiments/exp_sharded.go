@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"reflect"
+	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/dbsp"
@@ -79,7 +79,7 @@ func E20BigV(p sweep.Params) *Table {
 						}
 					}
 				}
-				if vsRef == "identical" && !reflect.DeepEqual(ref.Contexts, res.Contexts) {
+				if vsRef == "identical" && !slices.EqualFunc(ref.Contexts, res.Contexts, slices.Equal) {
 					vsRef = "DIVERGED"
 				}
 			}

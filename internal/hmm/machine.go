@@ -349,9 +349,7 @@ func (m *Machine) bumpDepthRange(lo, hi int64) {
 //
 // Read and Write account an unobserved access inside the dense cost
 // prefix (which lies within memory) in line, exactly as charge would,
-// and check every other access before leaving it to charge. Keep them
-// too large to inline: an inlinable Read would grow the handler
-// context's load past the inlining budget.
+// and check every other access before leaving it to charge.
 func (m *Machine) Read(x int64) Word {
 	if uint64(x) < uint64(len(m.dense)) && m.levels == nil {
 		m.stats.Cost += m.dense[x]
