@@ -24,6 +24,13 @@
 // the same selection, seed and flags, apart from the documented
 // run-varying start_ms/wall_ms fields.
 //
+// The daemon's memory stays bounded however long it runs: it keeps the
+// 1,024 most recent finished jobs, and an older job's ID answers
+// 410 Gone; the result cache holds at most 64 MiB of result lines and
+// evicts the least recently used entry beyond that, so an evicted
+// program runs again to the same bytes. /metrics reports
+// serve_jobs_evicted, serve_cache_bytes and serve_cache_evictions.
+//
 // SIGINT/SIGTERM shut the daemon down gracefully: queued jobs cancel,
 // running sweeps stop, in-flight responses drain, exit status 0.
 package main

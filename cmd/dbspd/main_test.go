@@ -291,7 +291,8 @@ func TestDaemonObservability(t *testing.T) {
 		return string(raw)
 	}
 	metrics := get("/metrics")
-	for _, want := range []string{"serve_jobs_submitted", "sweep_jobs_completed", "cost_compile_cache_entries"} {
+	for _, want := range []string{"serve_jobs_submitted", "serve_jobs_evicted", "serve_cache_bytes", "serve_cache_evictions",
+		"sweep_jobs_completed", "cost_compile_cache_entries"} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %s", want)
 		}

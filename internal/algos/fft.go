@@ -34,6 +34,7 @@ func DFTButterfly(n int, input func(p int) Word) *dbsp.Program {
 	for l := 0; l < logn; l++ {
 		l := l
 		half := n >> uint(l+1)
+		tw := rootPowers(RootOfUnity(2*half), half)
 		// Exchange within blocks: an ℓ-superstep (partners share the
 		// size-2·half cluster).
 		prog.Steps = append(prog.Steps, dbsp.Superstep{Label: l, Run: func(c *dbsp.Ctx) {
@@ -47,8 +48,7 @@ func DFTButterfly(n int, input func(p int) Word) *dbsp.Program {
 			if c.ID()&half == 0 {
 				c.Store(fftX, ModAdd(mine, partner))
 			} else {
-				pos := Word(c.ID() & (half - 1))
-				w := ModPow(RootOfUnity(2*half), pos)
+				w := tw[c.ID()&(half-1)]
 				c.Store(fftX, ModMul(ModSub(partner, mine), w))
 			}
 			c.Work(1)
@@ -146,14 +146,14 @@ func genFFT(prog *dbsp.Program, L, sz, logn int, inv bool) {
 	genFFT(prog, L+dbsp.Log2(m2), m1, logn, inv)
 	// Step 3: twiddle — processor at position j2·m1+k1 multiplies by
 	// ω_sz^(j2·k1). Local; folded with the consume of any pending route.
+	tw := rootPowers(fftRoot(sz, inv), sz)
 	prog.Steps = append(prog.Steps, dbsp.Superstep{Label: logn, Run: func(c *dbsp.Ctx) {
 		fftConsume(c)
 		cs := dbsp.ClusterSize(c.V(), L)
 		lo := (c.ID() / cs) * cs
 		rel := c.ID() - lo
 		j2, k1 := rel/m1, rel%m1
-		w := ModPow(fftRoot(sz, inv), Word(j2*k1))
-		c.Store(fftX, ModMul(c.Load(fftX), w))
+		c.Store(fftX, ModMul(c.Load(fftX), tw[j2*k1]))
 		c.Work(1)
 	}})
 	// Step 4: transpose back to m1×m2 so the outer (size-m2, over j2)
@@ -164,6 +164,19 @@ func genFFT(prog *dbsp.Program, L, sz, logn int, inv bool) {
 	// Step 6: transpose m1×m2 -> m2×m1: position k1·m2+k2 -> k2·m1+k1,
 	// leaving X[k1 + m1·k2] at relative position k1+m1·k2 — natural order.
 	fftTransposeStep(prog, L, m1, m2)
+}
+
+// rootPowers returns the table w^0, …, w^(n-1) mod P, which a program
+// builds once so that its handlers index twiddle factors instead of
+// computing them per processor and superstep.
+func rootPowers(w Word, n int) []Word {
+	pw := make([]Word, n)
+	x := Word(1)
+	for i := range pw {
+		pw[i] = x
+		x = ModMul(x, w)
+	}
+	return pw
 }
 
 // fftRoot returns the primitive sz-th root (or its inverse) used by the

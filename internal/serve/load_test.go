@@ -81,7 +81,7 @@ func TestLoadCacheHitLatencyFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			hitsBefore := counterValue(t, reg, "serve.cache.hits")
+			hitsBefore := metricValue(t, reg, "serve.cache.hits")
 
 			lat := make([]time.Duration, submissions)
 			var wg sync.WaitGroup
@@ -110,7 +110,7 @@ func TestLoadCacheHitLatencyFlat(t *testing.T) {
 			if st, _ := s.Status(miss.ID); st.State != StateQueued {
 				t.Fatalf("canary miss is %s during the burst, want queued (slots were not saturated)", st.State)
 			}
-			if got := counterValue(t, reg, "serve.cache.hits") - hitsBefore; got != submissions {
+			if got := metricValue(t, reg, "serve.cache.hits") - hitsBefore; got != submissions {
 				t.Errorf("cache hits during burst = %d, want %d", got, submissions)
 			}
 
@@ -132,8 +132,8 @@ func TestLoadCacheHitLatencyFlat(t *testing.T) {
 	}
 }
 
-// counterValue reads one counter from a registry snapshot.
-func counterValue(t *testing.T, reg *obs.Registry, name string) int64 {
+// metricValue reads one counter or gauge from a registry snapshot.
+func metricValue(t *testing.T, reg *obs.Registry, name string) int64 {
 	t.Helper()
 	for _, s := range reg.Snapshot() {
 		if s.Name == name {

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/cost"
@@ -23,8 +26,19 @@ const (
 	StateCancelled = "cancelled"
 )
 
-// ErrNotFound reports an unknown job ID.
+// ErrNotFound reports a job ID the scheduler never issued.
 var ErrNotFound = errors.New("serve: no such job")
+
+// ErrEvicted reports a job ID the scheduler issued and has since
+// forgotten: its record was among the oldest finished ones beyond the
+// keepFinished most recent.
+var ErrEvicted = errors.New("serve: job evicted")
+
+// keepFinished is how many finished job records the scheduler keeps.
+// A job that reaches a terminal state joins a first-in-first-out list;
+// beyond this count the oldest record leaves the table and its ID
+// answers ErrEvicted. Queued and running jobs are never evicted.
+const keepFinished = 1024
 
 // ErrClosed reports a submission to a shut-down scheduler.
 var ErrClosed = errors.New("serve: scheduler is shut down")
@@ -121,31 +135,37 @@ type job struct {
 // params, seed) — legitimate because the engine's determinism contract
 // makes results schedule-independent, so a hit is byte-identical to a
 // re-run under any quota or worker setting.
+//
+// Its state is bounded whatever its history: it holds the queued and
+// running jobs, the keepFinished most recent finished ones, and a
+// result cache of at most cacheBudget bytes.
 type Scheduler struct {
 	catalog Catalog
 	cfg     Config
 	pset    *obshttp.ProgressSet
+	keep    int // finished records kept; keepFinished outside tests
 
 	// metric handles, resolved once (all nil-safe via obs.Observer)
 	cSubmitted, cDone, cFailed, cCancelled *obs.Counter
-	cCacheHit, cCacheMiss                  *obs.Counter
-	gQueued, gRunning                      *obs.Gauge
+	cCacheHit, cCacheMiss, cCacheEvicted   *obs.Counter
+	cEvicted                               *obs.Counter
+	gQueued, gRunning, gCacheBytes         *obs.Gauge
 	gCostHits, gCostMisses, gCostEntries   *obs.Gauge
 
 	wg sync.WaitGroup // running runSweep goroutines
 
 	mu            sync.Mutex
-	closed        bool                // guarded by mu
-	seq           int                 // guarded by mu
-	jobs          map[string]*job     // guarded by mu
-	order         []*job              // guarded by mu
-	queued        int                 // guarded by mu
-	running       int                 // guarded by mu
-	done          int                 // guarded by mu
-	failed        int                 // guarded by mu
-	cancelled     int                 // guarded by mu
-	tenantRunning map[string]int      // guarded by mu
-	cache         map[string][][]byte // guarded by mu
+	closed        bool            // guarded by mu
+	seq           int             // guarded by mu
+	jobs          map[string]*job // guarded by mu
+	pending       []*job          // guarded by mu
+	finished      []*job          // guarded by mu
+	running       int             // guarded by mu
+	done          int             // guarded by mu
+	failed        int             // guarded by mu
+	cancelled     int             // guarded by mu
+	tenantRunning map[string]int  // guarded by mu
+	cache         *resultCache    // guarded by mu
 }
 
 // NewScheduler returns a scheduler over the catalog. It registers its
@@ -169,16 +189,21 @@ func NewScheduler(catalog Catalog, cfg Config) *Scheduler {
 		cCancelled: o.Counter("serve.jobs.cancelled"),
 		cCacheHit:  o.Counter("serve.cache.hits"),
 		cCacheMiss: o.Counter("serve.cache.misses"),
+		cEvicted:   o.Counter("serve.jobs.evicted"),
 		gQueued:    o.Gauge("serve.jobs.queued"),
 		gRunning:   o.Gauge("serve.jobs.running"),
+
+		cCacheEvicted: o.Counter("serve.cache.evictions"),
+		gCacheBytes:   o.Gauge("serve.cache.bytes"),
 
 		gCostHits:    o.Gauge("cost.compile.cache.hits"),
 		gCostMisses:  o.Gauge("cost.compile.cache.misses"),
 		gCostEntries: o.Gauge("cost.compile.cache.entries"),
 
+		keep:          keepFinished,
 		jobs:          make(map[string]*job),
 		tenantRunning: make(map[string]int),
-		cache:         make(map[string][][]byte),
+		cache:         newResultCache(cacheBudget),
 	}
 	if s.pset != nil {
 		s.pset.Register("scheduler", func() any { return s.Snapshot() })
@@ -210,67 +235,102 @@ func (s *Scheduler) Submit(spec Spec) (JobStatus, error) {
 	}
 	s.seq++
 	j := &job{
-		id:     fmt.Sprintf("j%06d", s.seq),
-		spec:   spec,
-		ids:    ids,
-		key:    key,
-		seq:    s.seq,
-		sjobs:  sjobs,
-		stream: newResultStream(),
-		state:  StateQueued,
+		id:    jobID(s.seq),
+		spec:  spec,
+		ids:   ids,
+		key:   key,
+		seq:   s.seq,
+		sjobs: sjobs,
+		state: StateQueued,
 	}
 	s.jobs[j.id] = j
-	s.order = append(s.order, j)
 	s.cSubmitted.Inc()
-	if lines, hit := s.cache[key]; hit && !s.cfg.NoCache {
-		s.cCacheHit.Inc()
-		j.state, j.cached = StateDone, true
-		for _, ln := range lines {
-			j.stream.append(ln)
-		}
-		j.stream.finish()
-		s.done++
-		s.cDone.Inc()
-		s.publishLocked()
-		return s.statusLocked(j), nil
-	}
 	if !s.cfg.NoCache {
+		if lines, hit := s.cache.get(key); hit {
+			s.cCacheHit.Inc()
+			j.state, j.cached = StateDone, true
+			j.stream = finishedStream(lines)
+			s.done++
+			s.cDone.Inc()
+			s.retireLocked(j)
+			s.publishLocked()
+			return s.statusLocked(j), nil
+		}
 		s.cCacheMiss.Inc()
 	}
-	s.queued++
+	j.stream = newResultStream()
+	s.pending = append(s.pending, j)
 	s.dispatchLocked()
 	return s.statusLocked(j), nil
+}
+
+// jobID is the ID of the seq-th submission.
+func jobID(seq int) string { return fmt.Sprintf("j%06d", seq) }
+
+// lookupLocked returns job id's record. An ID the scheduler issued but
+// no longer holds is ErrEvicted, any other unknown ID ErrNotFound.
+// Callers hold s.mu.
+func (s *Scheduler) lookupLocked(id string) (*job, error) {
+	if j, ok := s.jobs[id]; ok {
+		return j, nil
+	}
+	if n, err := strconv.Atoi(strings.TrimPrefix(id, "j")); err == nil && n >= 1 && n <= s.seq && id == jobID(n) {
+		return nil, fmt.Errorf("%w: %q (the scheduler keeps the %d most recent finished jobs)", ErrEvicted, id, s.keep)
+	}
+	return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
+}
+
+// retireLocked records that j reached a terminal state and forgets the
+// oldest finished records beyond s.keep. Each job is retired exactly
+// once, at its terminal transition; callers hold s.mu.
+func (s *Scheduler) retireLocked(j *job) {
+	s.finished = append(s.finished, j)
+	for len(s.finished) > s.keep {
+		delete(s.jobs, s.finished[0].id)
+		s.finished[0] = nil
+		s.finished = s.finished[1:]
+		s.cEvicted.Inc()
+	}
 }
 
 // Status returns the current state of job id.
 func (s *Scheduler) Status(id string) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobStatus{}, fmt.Errorf("%w: %q", ErrNotFound, id)
+	j, err := s.lookupLocked(id)
+	if err != nil {
+		return JobStatus{}, err
 	}
 	return s.statusLocked(j), nil
 }
 
-// List returns every job's status in submission order.
+// List returns the status of every job the scheduler holds (queued,
+// running and the keepFinished most recent finished) in submission
+// order.
 func (s *Scheduler) List() []JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]JobStatus, len(s.order))
-	for i, j := range s.order {
+	held := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		held = append(held, j)
+	}
+	slices.SortFunc(held, func(a, b *job) int { return a.seq - b.seq })
+	out := make([]JobStatus, len(held))
+	for i, j := range held {
 		out[i] = s.statusLocked(j)
 	}
 	return out
 }
 
-// Stream returns job id's result stream for followers.
+// Stream returns job id's result stream for followers. A follower
+// keeps its stream to the end even if the job's record is evicted
+// meanwhile.
 func (s *Scheduler) Stream(id string) (*resultStream, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
+	j, err := s.lookupLocked(id)
+	if err != nil {
+		return nil, err
 	}
 	return j.stream, nil
 }
@@ -282,9 +342,9 @@ func (s *Scheduler) Stream(id string) (*resultStream, error) {
 func (s *Scheduler) Cancel(id string) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobStatus{}, fmt.Errorf("%w: %q", ErrNotFound, id)
+	j, err := s.lookupLocked(id)
+	if err != nil {
+		return JobStatus{}, err
 	}
 	s.cancelLocked(j)
 	return s.statusLocked(j), nil
@@ -297,9 +357,11 @@ func (s *Scheduler) cancelLocked(j *job) {
 		j.state = StateCancelled
 		j.errMsg = "cancelled before start"
 		j.stream.finish()
-		s.queued--
+		i := slices.Index(s.pending, j)
+		s.pending = slices.Delete(s.pending, i, i+1)
 		s.cancelled++
 		s.cCancelled.Inc()
+		s.retireLocked(j)
 		s.publishLocked()
 		s.dispatchLocked()
 	case StateRunning:
@@ -317,8 +379,11 @@ func (s *Scheduler) Close() {
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
-		for _, j := range s.order {
-			s.cancelLocked(j)
+		for len(s.pending) > 0 {
+			s.cancelLocked(s.pending[0])
+		}
+		for _, j := range s.jobs {
+			s.cancelLocked(j) // only running jobs are left to cancel
 		}
 		if s.pset != nil {
 			s.pset.Unregister("scheduler")
@@ -333,7 +398,7 @@ func (s *Scheduler) Snapshot() SchedSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := SchedSnapshot{
-		Queued:    s.queued,
+		Queued:    len(s.pending),
 		Running:   s.running,
 		Done:      s.done,
 		Failed:    s.failed,
@@ -366,36 +431,39 @@ func (s *Scheduler) statusLocked(j *job) JobStatus {
 // publishLocked mirrors the live counts into the gauges; callers hold
 // s.mu.
 func (s *Scheduler) publishLocked() {
-	s.gQueued.Set(int64(s.queued))
+	s.gQueued.Set(int64(len(s.pending)))
 	s.gRunning.Set(int64(s.running))
+	s.gCacheBytes.Set(s.cache.size)
 	cs := cost.CompileCache().Stats()
 	s.gCostHits.Set(cs.Hits)
 	s.gCostMisses.Set(cs.Misses)
 	s.gCostEntries.Set(cs.Entries)
 }
 
-// pickLocked chooses the next job to dispatch, or nil when the caps
-// leave nothing eligible: highest Priority first, then the tenant with
-// the fewest running sweeps, then submission order. Callers hold s.mu.
-func (s *Scheduler) pickLocked() *job {
+// pickLocked returns the index in s.pending of the next job to
+// dispatch, or -1 when the caps leave nothing eligible: highest
+// Priority first, then the tenant with the fewest running sweeps, then
+// submission order. Callers hold s.mu.
+func (s *Scheduler) pickLocked() int {
 	if s.running >= s.cfg.MaxSweeps {
-		return nil
+		return -1
 	}
-	var best *job
-	for _, j := range s.order {
-		if j.state != StateQueued || s.tenantRunning[j.spec.Tenant] >= s.cfg.TenantQuota {
+	best := -1
+	for i, j := range s.pending {
+		if s.tenantRunning[j.spec.Tenant] >= s.cfg.TenantQuota {
 			continue
 		}
-		if best == nil {
-			best = j
+		if best < 0 {
+			best = i
 			continue
 		}
+		b := s.pending[best]
 		switch {
-		case j.spec.Priority > best.spec.Priority:
-			best = j
-		case j.spec.Priority == best.spec.Priority &&
-			s.tenantRunning[j.spec.Tenant] < s.tenantRunning[best.spec.Tenant]:
-			best = j
+		case j.spec.Priority > b.spec.Priority:
+			best = i
+		case j.spec.Priority == b.spec.Priority &&
+			s.tenantRunning[j.spec.Tenant] < s.tenantRunning[b.spec.Tenant]:
+			best = i
 		}
 	}
 	return best
@@ -409,16 +477,17 @@ func (s *Scheduler) dispatchLocked() {
 	}
 	var starts []*job
 	for {
-		j := s.pickLocked()
-		if j == nil {
+		i := s.pickLocked()
+		if i < 0 {
 			break
 		}
+		j := s.pending[i]
+		s.pending = slices.Delete(s.pending, i, i+1)
 		ctx, cancel := context.WithCancel(context.Background())
 		j.state = StateRunning
 		j.cancel = cancel
 		j.progress = sweep.NewProgress()
 		j.runCtx = ctx
-		s.queued--
 		s.running++
 		s.tenantRunning[j.spec.Tenant]++
 		starts = append(starts, j)
@@ -476,8 +545,8 @@ func encodeLine(o sweep.Outcome) []byte {
 	return append(raw, '\n')
 }
 
-// finishJob lands j's terminal state, feeds the cache, and dispatches
-// whatever the freed slots allow.
+// finishJob lands j's terminal state, feeds the cache, retires j, and
+// dispatches whatever the freed slots allow.
 func (s *Scheduler) finishJob(j *job, runErr error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -505,12 +574,13 @@ func (s *Scheduler) finishJob(j *job, runErr error) {
 	default:
 		j.state = StateDone
 		if !s.cfg.NoCache {
-			s.cache[j.key] = j.stream.all()
+			s.cCacheEvicted.Add(int64(s.cache.put(j.key, j.stream.all())))
 		}
 		s.done++
 		s.cDone.Inc()
 	}
 	j.stream.finish()
+	s.retireLocked(j)
 	if s.pset != nil {
 		s.pset.Unregister("sweep:" + j.id)
 	}

@@ -12,11 +12,10 @@ import (
 	"repro/internal/sweep"
 )
 
-// calcCatalog returns a catalog of n fast deterministic jobs. Each job
+// calcJobs returns n fast deterministic jobs, T00, T01, …. Each job
 // derives its value purely from its ID and seed, and observes one
 // counter so Metrics-enabled runs carry metric bytes worth comparing.
-func calcCatalog(t *testing.T, n int) Catalog {
-	t.Helper()
+func calcJobs(n int) []sweep.Job {
 	jobs := make([]sweep.Job, n)
 	for i := range jobs {
 		id := fmt.Sprintf("T%02d", i)
@@ -29,26 +28,38 @@ func calcCatalog(t *testing.T, n int) Catalog {
 			return map[string]uint64{"sum": sum}, nil
 		}}
 	}
-	c, err := NewCatalog(jobs)
+	return jobs
+}
+
+// calcCatalog returns a catalog of the n calcJobs.
+func calcCatalog(t *testing.T, n int) Catalog {
+	t.Helper()
+	c, err := NewCatalog(calcJobs(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-// gateCatalog returns a catalog whose single job "G" blocks until the
-// returned channel closes (or its context cancels).
-func gateCatalog(t *testing.T) (Catalog, chan struct{}) {
-	t.Helper()
+// gateJob returns a job "G" that blocks until the returned channel
+// closes (or its context cancels).
+func gateJob() (sweep.Job, chan struct{}) {
 	gate := make(chan struct{})
-	c, err := NewCatalog([]sweep.Job{{ID: "G", Run: func(ctx context.Context, p sweep.Params) (any, error) {
+	return sweep.Job{ID: "G", Run: func(ctx context.Context, p sweep.Params) (any, error) {
 		select {
 		case <-gate:
 			return "ok", nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-	}}})
+	}}, gate
+}
+
+// gateCatalog returns a catalog whose single job is gateJob's "G".
+func gateCatalog(t *testing.T) (Catalog, chan struct{}) {
+	t.Helper()
+	g, gate := gateJob()
+	c, err := NewCatalog([]sweep.Job{g})
 	if err != nil {
 		t.Fatal(err)
 	}

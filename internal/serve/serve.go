@@ -15,7 +15,9 @@
 // # API
 //
 //	POST   /api/v1/jobs                   submit a Spec, returns JobStatus
-//	GET    /api/v1/jobs                   list all jobs (submission order)
+//	GET    /api/v1/jobs                   list the retained jobs (queued,
+//	                                      running, the 1,024 most recent
+//	                                      finished; submission order)
 //	GET    /api/v1/jobs/{job}             one job's status
 //	GET    /api/v1/jobs/{job}/results     follow the JSONL result stream
 //	                                      (?offset=N resumes after line N)
@@ -25,6 +27,14 @@
 // internal/obs/obshttp: /metrics, /healthz, /debug/progress (all
 // running sweeps plus the scheduler, via ProgressSet),
 // /debug/costprofile and /debug/pprof.
+//
+// The daemon's memory does not grow with its history. Beyond the 1,024
+// most recent finished jobs the oldest record is evicted, and its ID
+// answers 410 Gone on the three {job} endpoints (an ID never issued
+// answers 404); a reader already following an evicted job's results
+// reads them to the end. The result cache holds at most 64 MiB of
+// result lines and evicts the least recently used entry beyond that;
+// an evicted key simply runs again, to the same bytes.
 package serve
 
 import (
@@ -134,7 +144,7 @@ func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st, err := s.sched.Status(r.PathValue("job"))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		lookupError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
@@ -143,10 +153,20 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	st, err := s.sched.Cancel(r.PathValue("job"))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		lookupError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
+}
+
+// lookupError answers a failed job lookup: 410 Gone for an evicted
+// job, 404 for an ID the scheduler never issued.
+func lookupError(w http.ResponseWriter, err error) {
+	code := http.StatusNotFound
+	if errors.Is(err, ErrEvicted) {
+		code = http.StatusGone
+	}
+	http.Error(w, err.Error(), code)
 }
 
 // handleResults follows a job's JSONL stream: lines already present
@@ -157,7 +177,7 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
 	stream, err := s.sched.Stream(r.PathValue("job"))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		lookupError(w, err)
 		return
 	}
 	offset := 0

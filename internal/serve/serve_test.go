@@ -142,6 +142,24 @@ func TestServiceMatchesEngineBytes(t *testing.T) {
 			}
 		})
 	}
+
+	// A zero cache budget evicts every run as it is stored: each
+	// resubmission misses, runs again and writes the same bytes.
+	t.Run("zero_cache_budget", func(t *testing.T) {
+		svc := New(catalog, Options{Workers: 2})
+		svc.Scheduler().cache.budget = 0
+		ts := httptest.NewServer(svc.Handler())
+		t.Cleanup(func() { ts.Close(); svc.Close() })
+		for i := 0; i < 3; i++ {
+			st := submit(t, ts.URL, spec)
+			if st.Cached {
+				t.Fatalf("submission %d served from a zero-budget cache", i)
+			}
+			if got := maskJSONL(t, readResults(t, ts.URL, st.ID, 0)); !bytes.Equal(got, want) {
+				t.Errorf("submission %d: service bytes differ from engine bytes\nservice:\n%s\nengine:\n%s", i, got, want)
+			}
+		}
+	})
 }
 
 // TestServiceResumableStream pins the ?offset contract: a reader that
@@ -292,7 +310,8 @@ func TestServiceObservability(t *testing.T) {
 		t.Errorf("/healthz = %q", body)
 	}
 	metrics := get("/metrics")
-	for _, want := range []string{"serve_jobs_submitted", "serve_jobs_running", "serve_cache_misses", "cost_compile_cache_entries"} {
+	for _, want := range []string{"serve_jobs_submitted", "serve_jobs_running", "serve_jobs_evicted", "serve_cache_misses",
+		"serve_cache_bytes", "serve_cache_evictions", "cost_compile_cache_entries"} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %s", want)
 		}

@@ -26,6 +26,15 @@ func newResultStream() *resultStream {
 	return st
 }
 
+// finishedStream returns a finished stream over lines, which it shares
+// with the caller (a cache hit shares its entry's lines); a finished
+// stream is never appended to, so the lines are never written.
+func finishedStream(lines [][]byte) *resultStream {
+	st := &resultStream{lines: lines, fin: true}
+	st.cond = sync.NewCond(&st.mu)
+	return st
+}
+
 // append adds one encoded record line (including its trailing newline)
 // and wakes waiting readers.
 func (st *resultStream) append(line []byte) {

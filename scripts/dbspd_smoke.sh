@@ -84,10 +84,12 @@ curl -fsS -N "http://$addr/api/v1/jobs/$job2/results" >"$workdir/svc2.jsonl"
 cmp "$workdir/svc.jsonl" "$workdir/svc2.jsonl" \
   || { echo "dbspd smoke FAILED: cached stream not byte-identical to first run" >&2; exit 1; }
 
-# Observability surface: scheduler + engine + cost-cache families on
-# /metrics, the scheduler source on /debug/progress.
+# Observability surface: scheduler (with its retention and cache-budget
+# families) + engine + cost-cache families on /metrics, the scheduler
+# source on /debug/progress.
 curl -fsS "http://$addr/metrics" >"$workdir/metrics"
-for want in 'serve_jobs_submitted' 'serve_cache_hits 1' '# TYPE sweep_jobs_started counter' 'cost_compile_cache_entries'; do
+for want in 'serve_jobs_submitted' 'serve_cache_hits 1' 'serve_jobs_evicted' 'serve_cache_bytes' \
+  'serve_cache_evictions' '# TYPE sweep_jobs_started counter' 'cost_compile_cache_entries'; do
   grep -qF "$want" "$workdir/metrics" \
     || { echo "dbspd smoke FAILED: /metrics missing '$want'" >&2; exit 1; }
 done
