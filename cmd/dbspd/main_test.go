@@ -24,6 +24,9 @@ var (
 	dbspdBin  string
 	expBin    string
 	buildErr  error
+	// dbspdBuildFlags are extra go build flags for the daemon;
+	// race_test.go adds -race when the tests themselves run under it.
+	dbspdBuildFlags []string
 )
 
 // buildBins builds the dbspd and experiments binaries once (go run
@@ -38,7 +41,8 @@ func buildBins(t *testing.T) {
 			return
 		}
 		dbspdBin = filepath.Join(dir, "dbspd")
-		if out, err := exec.Command("go", "build", "-o", dbspdBin, ".").CombinedOutput(); err != nil {
+		args := append(append([]string{"build"}, dbspdBuildFlags...), "-o", dbspdBin, ".")
+		if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
 			buildErr = fmt.Errorf("build dbspd: %v\n%s", err, out)
 			return
 		}

@@ -1,11 +1,11 @@
 // Command dbsplint runs the repo's custom static-analysis suite
 // (internal/lint) over the module: the syntactic convention checks,
 // the dbspvet typed pass that verifies D-BSP program shape, the
-// dataflow analyzers (sharesafe, lockdiscipline, snapshotonly,
-// bulkcharge) that prove the concurrency and bulk-charge disciplines
-// over per-function control-flow graphs, and the interprocedural
-// analyzers (detflow, floatfold) that follow nondeterminism and
-// float64 folds across call chains to the byte-compared outputs.
+// dataflow analyzer (lockdiscipline) that checks the `// guarded by`
+// field discipline over per-function control-flow graphs, and the
+// interprocedural analyzers (detflow, floatfold) that follow
+// nondeterminism and float64 folds across call chains to the
+// byte-compared outputs.
 // Findings print one per line as
 //
 //	file:line: analyzer: message

@@ -18,7 +18,7 @@ var (
 
 // roster is the analyzer suite dbsplint must run, in -list order.
 var roster = []string{"nilguard", "panicmsg", "exitdiscipline", "stepshape", "stepconfine",
-	"sharesafe", "lockdiscipline", "snapshotonly", "bulkcharge", "detflow", "floatfold"}
+	"lockdiscipline", "detflow", "floatfold"}
 
 // moduleRoot is the repository root relative to this package, where
 // "./..." covers the whole module rather than cmd/ alone.
@@ -201,7 +201,7 @@ func TestOnlyFilter(t *testing.T) {
 	if !strings.Contains(out, ": stepshape: ") {
 		t.Errorf("no stepshape finding:\n%s", out)
 	}
-	for _, other := range []string{"nilguard", "panicmsg", "detflow", "bulkcharge", "stepconfine"} {
+	for _, other := range []string{"nilguard", "panicmsg", "detflow", "lockdiscipline", "stepconfine"} {
 		if strings.Contains(out, ": "+other+": ") {
 			t.Errorf("-only stepshape still ran %s:\n%s", other, out)
 		}

@@ -37,10 +37,3 @@ func CStar(f Func, mu, n int64) int {
 		}
 	}
 }
-
-// LogStar returns log*(n) base 2: the number of times log2 must be
-// iterated before the value drops to <= 1. Used by the theory package
-// for Fact 2 predictions with f = log x.
-func LogStar(n int64) int {
-	return FStar(Log{}, n)
-}

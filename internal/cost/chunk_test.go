@@ -64,15 +64,18 @@ func TestCStarGrowsSlowlyProperty(t *testing.T) {
 	}
 }
 
+// TestLogStar checks that FStar under f = log x is log* n, the Fact 2
+// depth for that access function.
 func TestLogStar(t *testing.T) {
-	if got := LogStar(1 << 16); got < 3 || got > 5 {
-		t.Errorf("LogStar(2^16) = %d, want 3..5", got)
+	logStar := func(n int64) int { return FStar(Log{}, n) }
+	if got := logStar(1 << 16); got < 3 || got > 5 {
+		t.Errorf("log*(2^16) = %d, want 3..5", got)
 	}
-	a, b := LogStar(1<<10), LogStar(1<<60)
+	a, b := logStar(1<<10), logStar(1<<60)
 	if b < a {
-		t.Errorf("LogStar not monotone: LogStar(2^10)=%d > LogStar(2^60)=%d", a, b)
+		t.Errorf("log* not monotone: log*(2^10)=%d > log*(2^60)=%d", a, b)
 	}
 	if b > 6 {
-		t.Errorf("LogStar(2^60) = %d, want <= 6 (log* grows extremely slowly)", b)
+		t.Errorf("log*(2^60) = %d, want <= 6 (log* grows extremely slowly)", b)
 	}
 }

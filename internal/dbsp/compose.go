@@ -43,16 +43,3 @@ func Repeat(name string, prog *Program, k int) (*Program, error) {
 	}
 	return out, nil
 }
-
-// LocalStep returns a superstep at the finest label running fn on every
-// processor — the glue for Concat pipelines (pointwise transforms,
-// format conversions between stages).
-func LocalStep(v int, fn func(c *Ctx)) Superstep {
-	return Superstep{Label: Log2(v), Run: fn}
-}
-
-// Barrier returns a no-op 0-superstep — the global synchronisation
-// every program must end with.
-func Barrier() Superstep {
-	return Superstep{Label: 0, Run: func(c *Ctx) {}}
-}

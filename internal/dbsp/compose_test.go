@@ -13,8 +13,8 @@ func incProg(v int, by Word) *Program {
 		Layout: Layout{Data: 1, MaxMsgs: 1},
 		Init:   func(p int, data []Word) { data[0] = Word(p) },
 		Steps: []Superstep{
-			LocalStep(v, func(c *Ctx) { c.Store(0, c.Load(0)+by) }),
-			Barrier(),
+			{Label: Log2(v), Run: func(c *Ctx) { c.Store(0, c.Load(0)+by) }},
+			{Label: 0, Run: func(c *Ctx) {}},
 		},
 	}
 }
@@ -70,16 +70,5 @@ func TestRepeat(t *testing.T) {
 	}
 	if _, err := Repeat("zero", incProg(4, 1), 0); err == nil {
 		t.Error("Repeat(0) accepted")
-	}
-}
-
-func TestBarrierAndLocalStep(t *testing.T) {
-	b := Barrier()
-	if b.Label != 0 || b.Run == nil {
-		t.Error("Barrier malformed")
-	}
-	ls := LocalStep(16, func(c *Ctx) {})
-	if ls.Label != 4 {
-		t.Errorf("LocalStep label = %d, want 4", ls.Label)
 	}
 }

@@ -181,12 +181,6 @@ func (m *Machine) Cost() float64 { return m.stats.Cost }
 // ResetStats zeroes the cost accounting but leaves memory contents.
 func (m *Machine) ResetStats() { m.stats = Stats{MaxAddr: -1} }
 
-// ResetAll zeroes both statistics and memory contents.
-func (m *Machine) ResetAll() {
-	m.ResetStats()
-	clear(m.mem)
-}
-
 func (m *Machine) checkAddr(x int64) {
 	if x < 0 || x >= int64(len(m.mem)) {
 		panic(fmt.Sprintf("hmm: address %d out of range [0,%d)", x, len(m.mem)))

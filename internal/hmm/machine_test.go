@@ -259,10 +259,6 @@ func TestResetStatsAndAll(t *testing.T) {
 	if m.Peek(3) != 7 {
 		t.Error("ResetStats cleared memory contents")
 	}
-	m.ResetAll()
-	if m.Peek(3) != 0 {
-		t.Error("ResetAll did not clear memory")
-	}
 }
 
 func TestSnapshotDoesNotCharge(t *testing.T) {

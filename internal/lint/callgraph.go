@@ -100,6 +100,35 @@ func NewCallGraph(pkgs []*Package) *CallGraph {
 	return g
 }
 
+// declSite locates one module function declaration.
+type declSite struct {
+	pkg  *Package
+	decl *ast.FuncDecl
+}
+
+// indexFuncDecls maps every module function object to its declaration,
+// so the call graph can cross package boundaries.
+func indexFuncDecls(pkgs []*Package) map[*types.Func]declSite {
+	idx := map[*types.Func]declSite{}
+	for _, pkg := range pkgs {
+		if pkg.Info == nil {
+			continue
+		}
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					idx[fn] = declSite{pkg, fd}
+				}
+			}
+		}
+	}
+	return idx
+}
+
 // addEdges walks node's body and records outgoing edges.
 func (g *CallGraph) addEdges(node *FuncNode) {
 	pkg := node.Pkg

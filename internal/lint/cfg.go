@@ -1,11 +1,10 @@
-// cfg.go is the control-flow half of the dbspvet dataflow layer: an
-// intra-procedural CFG over go/ast, built per function body, that the
-// flow-sensitive analyzers (sharesafe, lockdiscipline) traverse the way
-// the flow-insensitive ones traverse TypesInfo. The graph is
-// deliberately source-level — blocks hold the original ast.Node
-// statements and the condition/header expressions of compound
-// statements — so analyzer transfer functions inspect exactly the
-// syntax the finding will be reported against.
+// cfg.go is the dbspvet dataflow layer: an intra-procedural CFG over
+// go/ast, built per function body, that the flow-sensitive analyzer
+// (lockdiscipline) traverses the way the flow-insensitive ones
+// traverse TypesInfo. The graph is deliberately source-level — blocks
+// hold the original ast.Node statements and the condition/header
+// expressions of compound statements — so analyzer transfer functions
+// inspect exactly the syntax the finding will be reported against.
 //
 // Shape conventions:
 //
@@ -27,8 +26,8 @@
 //     state).
 //
 // The companion generic solver, SolveForward, runs any forward
-// dataflow problem to fixpoint over the graph; dataflow.go builds
-// reaching definitions on top of it.
+// dataflow problem to fixpoint over the graph; lockdiscipline's
+// must-hold lock sets are one such problem.
 package lint
 
 import (

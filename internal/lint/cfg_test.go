@@ -2,13 +2,12 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
 	"testing"
 )
 
 // cfgFor loads src as package p, type-checks it, and returns the
-// package plus the named function's declaration and Dataflow.
-func cfgFor(t *testing.T, src, fnName string) (*Package, *ast.FuncDecl, *Dataflow) {
+// package plus the named function's declaration and CFG.
+func cfgFor(t *testing.T, src, fnName string) (*Package, *ast.FuncDecl, *CFG) {
 	t.Helper()
 	pkgs := loadTemp(t, map[string]string{"p/p.go": src})
 	TypeCheck(pkgs)
@@ -19,11 +18,7 @@ func cfgFor(t *testing.T, src, fnName string) (*Package, *ast.FuncDecl, *Dataflo
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == fnName {
-				d := NewDataflow(pkg, fn)
-				if d == nil {
-					t.Fatalf("NewDataflow(%s) = nil", fnName)
-				}
-				return pkg, fn, d
+				return pkg, fn, NewCFG(fn.Body)
 			}
 		}
 	}
@@ -49,7 +44,7 @@ func reachable(c *CFG) map[*Block]bool {
 }
 
 func TestCFGStraightLine(t *testing.T) {
-	_, _, d := cfgFor(t, `package p
+	_, _, c := cfgFor(t, `package p
 
 func F() int {
 	a := 1
@@ -57,7 +52,6 @@ func F() int {
 	return b
 }
 `, "F")
-	c := d.CFG
 	if len(c.Entry.Nodes) != 3 {
 		t.Errorf("entry block has %d nodes, want 3", len(c.Entry.Nodes))
 	}
@@ -67,7 +61,7 @@ func F() int {
 }
 
 func TestCFGIfElseJoins(t *testing.T) {
-	_, _, d := cfgFor(t, `package p
+	_, _, c := cfgFor(t, `package p
 
 func F(cond bool) int {
 	x := 0
@@ -79,7 +73,6 @@ func F(cond bool) int {
 	return x
 }
 `, "F")
-	c := d.CFG
 	// The condition block must fork two ways, and both branch blocks
 	// must rejoin at the block holding the return.
 	if n := len(c.Entry.Succs); n != 2 {
@@ -102,7 +95,7 @@ func F(cond bool) int {
 }
 
 func TestCFGForLoopBackEdge(t *testing.T) {
-	_, _, d := cfgFor(t, `package p
+	_, _, c := cfgFor(t, `package p
 
 func F(n int) int {
 	s := 0
@@ -112,7 +105,6 @@ func F(n int) int {
 	return s
 }
 `, "F")
-	c := d.CFG
 	// Find the head block (holds the condition, two successors) and
 	// check it participates in a cycle: some reachable path returns.
 	var head *Block
@@ -150,7 +142,7 @@ func F(n int) int {
 }
 
 func TestCFGBreakContinue(t *testing.T) {
-	_, _, d := cfgFor(t, `package p
+	_, _, c := cfgFor(t, `package p
 
 func F(xs []int) int {
 	s := 0
@@ -166,12 +158,12 @@ func F(xs []int) int {
 	return s
 }
 `, "F")
-	if !reachable(d.CFG)[d.CFG.Exit] {
+	if !reachable(c)[c.Exit] {
 		t.Error("exit unreachable with break/continue present")
 	}
 	// The `s += x` statement must sit in a reachable block (continue
 	// and break must not orphan the rest of the body).
-	r := reachable(d.CFG)
+	r := reachable(c)
 	found := false
 	for blk := range r {
 		for _, n := range blk.Nodes {
@@ -188,7 +180,7 @@ func F(xs []int) int {
 }
 
 func TestCFGUnreachableAfterReturn(t *testing.T) {
-	_, _, d := cfgFor(t, `package p
+	_, _, c := cfgFor(t, `package p
 
 var sink int
 
@@ -198,8 +190,8 @@ func F() int {
 	return 3
 }
 `, "F")
-	r := reachable(d.CFG)
-	for _, blk := range d.CFG.Blocks {
+	r := reachable(c)
+	for _, blk := range c.Blocks {
 		for _, n := range blk.Nodes {
 			if as, ok := n.(*ast.AssignStmt); ok {
 				if id, ok := as.Lhs[0].(*ast.Ident); ok && id.Name == "sink" {
@@ -215,7 +207,7 @@ func F() int {
 }
 
 func TestCFGGotoAndLabels(t *testing.T) {
-	_, _, d := cfgFor(t, `package p
+	_, _, c := cfgFor(t, `package p
 
 func F(n int) int {
 	s := 0
@@ -227,13 +219,13 @@ loop:
 	return s
 }
 `, "F")
-	if !reachable(d.CFG)[d.CFG.Exit] {
+	if !reachable(c)[c.Exit] {
 		t.Error("exit unreachable in goto loop")
 	}
 	// The labeled block must have at least two preds: fallthrough from
 	// entry and the goto back edge.
 	var labeled *Block
-	for _, blk := range d.CFG.Blocks {
+	for _, blk := range c.Blocks {
 		for _, n := range blk.Nodes {
 			if inc, ok := n.(*ast.IncDecStmt); ok {
 				if id, ok := inc.X.(*ast.Ident); ok && id.Name == "s" {
@@ -251,7 +243,7 @@ loop:
 }
 
 func TestCFGSwitchShapes(t *testing.T) {
-	_, _, d := cfgFor(t, `package p
+	_, _, c := cfgFor(t, `package p
 
 func F(n int) int {
 	s := 0
@@ -267,7 +259,6 @@ func F(n int) int {
 	return s
 }
 `, "F")
-	c := d.CFG
 	if !reachable(c)[c.Exit] {
 		t.Error("exit unreachable in switch")
 	}
@@ -288,100 +279,6 @@ func F(n int) int {
 	}
 	if len(case2.Preds) != 2 {
 		t.Errorf("fallthrough case has %d preds, want 2 (head + fallthrough)", len(case2.Preds))
-	}
-}
-
-// declaredVar finds the *types.Var defined for an identifier named
-// name anywhere in the function.
-func declaredVar(t *testing.T, pkg *Package, fn *ast.FuncDecl, name string) *types.Var {
-	t.Helper()
-	var v *types.Var
-	ast.Inspect(fn, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || id.Name != name {
-			return true
-		}
-		if def, ok := pkg.Info.Defs[id].(*types.Var); ok && v == nil {
-			v = def
-		}
-		return true
-	})
-	if v == nil {
-		t.Fatalf("variable %s not found", name)
-	}
-	return v
-}
-
-// findUseNode locates the block node holding the return statement.
-func returnNode(t *testing.T, d *Dataflow) ast.Node {
-	t.Helper()
-	for _, blk := range d.CFG.Blocks {
-		for _, n := range blk.Nodes {
-			if _, ok := n.(*ast.ReturnStmt); ok {
-				return n
-			}
-		}
-	}
-	t.Fatal("no return node in CFG")
-	return nil
-}
-
-func TestReachingDefsBranchesMerge(t *testing.T) {
-	pkg, fn, d := cfgFor(t, `package p
-
-func F(cond bool) int {
-	x := 0
-	if cond {
-		x = 1
-	}
-	return x
-}
-`, "F")
-	x := declaredVar(t, pkg, fn, "x")
-	defs := d.ReachingDefs(returnNode(t, d), x)
-	// Both the initial 0 and the branch's 1 reach the return.
-	if len(defs) != 2 {
-		t.Fatalf("got %d reaching defs at return, want 2", len(defs))
-	}
-}
-
-func TestReachingDefsKill(t *testing.T) {
-	pkg, fn, d := cfgFor(t, `package p
-
-func F() int {
-	x := 0
-	x = 1
-	x = 2
-	return x
-}
-`, "F")
-	x := declaredVar(t, pkg, fn, "x")
-	defs := d.ReachingDefs(returnNode(t, d), x)
-	if len(defs) != 1 {
-		t.Fatalf("got %d reaching defs, want 1 (straight-line redefinition kills)", len(defs))
-	}
-	lit, ok := defs[0].(*ast.BasicLit)
-	if !ok || lit.Value != "2" {
-		t.Errorf("surviving def site = %#v, want the literal 2", defs[0])
-	}
-}
-
-func TestReachingDefsLoopBackEdge(t *testing.T) {
-	pkg, fn, d := cfgFor(t, `package p
-
-func F(n int) int {
-	x := 0
-	for i := 0; i < n; i++ {
-		x = i
-	}
-	return x
-}
-`, "F")
-	x := declaredVar(t, pkg, fn, "x")
-	defs := d.ReachingDefs(returnNode(t, d), x)
-	// Zero-trip (x := 0) and loop-body (x = i) defs both reach.
-	if len(defs) != 2 {
-		t.Fatalf("got %d reaching defs after loop, want 2", len(defs))
 	}
 }
 
@@ -422,46 +319,6 @@ func F(a, b int) func(int) int {
 	for _, bad := range []string{"a", "d", "e", "global"} {
 		if got[bad] {
 			t.Errorf("FreeVars wrongly includes %s", bad)
-		}
-	}
-}
-
-func TestRefLike(t *testing.T) {
-	pkg, fn, _ := cfgFor(t, `package p
-
-type holder struct {
-	buf []int
-}
-
-type flat struct {
-	a, b int
-}
-
-func F(
-	s []int,
-	m map[string]int,
-	ptr *int,
-	ch chan int,
-	fp func(),
-	iface any,
-	h holder,
-	fl flat,
-	n int,
-	arr [4]int,
-) {
-}
-`, "F")
-	want := map[string]bool{
-		"s": true, "m": true, "ptr": true, "ch": true, "fp": true,
-		"iface": true, "h": true,
-		"fl": false, "n": false, "arr": false,
-	}
-	for _, field := range fn.Type.Params.List {
-		for _, name := range field.Names {
-			v := pkg.Info.Defs[name].(*types.Var)
-			if got := refLike(v.Type()); got != want[name.Name] {
-				t.Errorf("refLike(%s %s) = %v, want %v", name.Name, v.Type(), got, want[name.Name])
-			}
 		}
 	}
 }

@@ -1,78 +1,20 @@
-// dataflow.go is the value-flow half of the dbspvet dataflow layer:
-// reaching definitions and a capture/escape classification for
-// function-local variables, built per function over the cfg.go graph
-// and the go/types info of the typed pass. Analyzers consume it the
-// way they consume TypesInfo — construct a Dataflow for the function
-// under inspection and query it at the nodes they care about.
+// dataflow.go holds the value helpers the analyzers share on top of
+// the typed pass: a function's body, the variables a closure captures
+// from its enclosing function, and the root-plus-field-path split of a
+// selector chain. lockdiscipline matches guards through basePath, and
+// the interprocedural summaries follow captured variables through
+// FreeVars.
 //
 // Everything here is intra-procedural and best-effort by design (the
-// same trade the whole typed pass makes): variables mutated through
-// closures or by callees are not tracked, interface calls are not
-// devirtualized, and "no information" always degrades toward silence
-// in the analyzers, never toward a false finding. DESIGN §10 records
-// the caveats.
+// same trade the whole typed pass makes): "no information" always
+// degrades toward silence in the analyzers, never toward a false
+// finding. DESIGN §10 records the caveats.
 package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 )
-
-// Dataflow bundles the CFG and reaching-definition solution of one
-// function (declaration or literal).
-type Dataflow struct {
-	// Pkg is the function's package.
-	Pkg *Package
-	// Fn is the analyzed *ast.FuncDecl or *ast.FuncLit.
-	Fn ast.Node
-	// Body is Fn's body.
-	Body *ast.BlockStmt
-	// CFG is the function's control-flow graph.
-	CFG *CFG
-
-	// blockOf locates the block holding each top-level block node.
-	blockOf map[ast.Node]*Block
-	// reachIn is the reaching-definitions solution at block entry.
-	reachIn map[*Block]defState
-}
-
-// defState maps each function-local variable to the set of definition
-// sites that may reach a program point. A definition site is the RHS
-// expression when the assignment has matching arity, or the defining
-// statement node otherwise (an opaque definition).
-type defState map[*types.Var]map[ast.Node]bool
-
-func (s defState) clone() defState {
-	c := make(defState, len(s))
-	for v, defs := range s {
-		d := make(map[ast.Node]bool, len(defs))
-		for n := range defs {
-			d[n] = true
-		}
-		c[v] = d
-	}
-	return c
-}
-
-func (s defState) equal(t defState) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for v, defs := range s {
-		td, ok := t[v]
-		if !ok || len(defs) != len(td) {
-			return false
-		}
-		for n := range defs {
-			if !td[n] {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 // funcBody returns the body of a FuncDecl or FuncLit node.
 func funcBody(fn ast.Node) *ast.BlockStmt {
@@ -83,163 +25,6 @@ func funcBody(fn ast.Node) *ast.BlockStmt {
 		return f.Body
 	}
 	return nil
-}
-
-// NewDataflow builds the CFG and reaching-definition solution for fn
-// (an *ast.FuncDecl or *ast.FuncLit) in pkg. Returns nil when fn has
-// no body or the package has no type information.
-func NewDataflow(pkg *Package, fn ast.Node) *Dataflow {
-	body := funcBody(fn)
-	if body == nil || pkg.Info == nil {
-		return nil
-	}
-	d := &Dataflow{
-		Pkg:     pkg,
-		Fn:      fn,
-		Body:    body,
-		CFG:     NewCFG(body),
-		blockOf: map[ast.Node]*Block{},
-	}
-	for _, blk := range d.CFG.Blocks {
-		for _, n := range blk.Nodes {
-			d.blockOf[n] = blk
-		}
-	}
-	d.reachIn = SolveForward(d.CFG, FlowProblem[defState]{
-		Boundary:    defState{},
-		Unreachable: defState{},
-		Merge: func(a, b defState) defState {
-			m := a.clone()
-			for v, defs := range b {
-				if m[v] == nil {
-					m[v] = map[ast.Node]bool{}
-				}
-				for n := range defs {
-					m[v][n] = true
-				}
-			}
-			return m
-		},
-		Transfer: func(s defState, n ast.Node) defState {
-			defs := d.nodeDefs(n)
-			if len(defs) == 0 {
-				return s
-			}
-			out := s.clone()
-			for v, site := range defs {
-				out[v] = map[ast.Node]bool{site: true}
-			}
-			return out
-		},
-		Equal: func(a, b defState) bool { return a.equal(b) },
-	})
-	return d
-}
-
-// nodeDefs returns the variables a block node (re)defines, mapped to
-// their definition site: the RHS expression for arity-matched
-// assignments, the node itself otherwise.
-func (d *Dataflow) nodeDefs(n ast.Node) map[*types.Var]ast.Node {
-	out := map[*types.Var]ast.Node{}
-	record := func(e ast.Expr, site ast.Node) {
-		id, ok := e.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return
-		}
-		if v := d.localVar(id); v != nil {
-			out[v] = site
-		}
-	}
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		for i, lhs := range n.Lhs {
-			site := ast.Node(n)
-			if len(n.Lhs) == len(n.Rhs) {
-				site = n.Rhs[i]
-			}
-			record(lhs, site)
-		}
-	case *ast.IncDecStmt:
-		record(n.X, n)
-	case *ast.RangeStmt:
-		if n.Key != nil {
-			record(n.Key, n)
-		}
-		if n.Value != nil {
-			record(n.Value, n)
-		}
-	case *ast.DeclStmt:
-		gen, ok := n.Decl.(*ast.GenDecl)
-		if !ok || gen.Tok != token.VAR {
-			return out
-		}
-		for _, spec := range gen.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for i, name := range vs.Names {
-				site := ast.Node(vs)
-				if len(vs.Values) == len(vs.Names) {
-					site = vs.Values[i]
-				}
-				record(name, site)
-			}
-		}
-	}
-	return out
-}
-
-// localVar resolves id to a variable declared inside the analyzed
-// function (parameters included), or nil: package-level state and
-// struct fields are outside the layer's intra-procedural scope.
-func (d *Dataflow) localVar(id *ast.Ident) *types.Var {
-	v, ok := objectOf(d.Pkg, id).(*types.Var)
-	if !ok || v.IsField() {
-		return nil
-	}
-	if !posWithin(v.Pos(), d.Fn) {
-		return nil
-	}
-	return v
-}
-
-// stateAt replays the enclosing block's transfer up to (not including)
-// node n and returns the reaching-definition state there. n must be a
-// block node of this CFG; unknown nodes get the empty state.
-func (d *Dataflow) stateAt(n ast.Node) defState {
-	blk, ok := d.blockOf[n]
-	if !ok {
-		return defState{}
-	}
-	s := d.reachIn[blk]
-	for _, m := range blk.Nodes {
-		if m == n {
-			break
-		}
-		defs := d.nodeDefs(m)
-		if len(defs) == 0 {
-			continue
-		}
-		s = s.clone()
-		for v, site := range defs {
-			s[v] = map[ast.Node]bool{site: true}
-		}
-	}
-	return s
-}
-
-// ReachingDefs returns the definition sites of v that may reach block
-// node n: RHS expressions where the defining assignment was
-// arity-matched, defining statements otherwise. An empty result means
-// only v's declaration (parameter, opaque flow) reaches n.
-func (d *Dataflow) ReachingDefs(n ast.Node, v *types.Var) []ast.Node {
-	var out []ast.Node
-	for site := range d.stateAt(n)[v] {
-		out = append(out, site)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
-	return out
 }
 
 // FreeVars returns the variables lit captures from its enclosing
@@ -269,35 +54,6 @@ func FreeVars(pkg *Package, fn ast.Node, lit *ast.FuncLit) []*types.Var {
 		return true
 	})
 	return out
-}
-
-// refLike reports whether t can alias memory shared with another
-// holder of the same value: pointers, slices, maps, channels,
-// functions, interfaces, and composites containing any of those.
-// Unknown (placeholder-import) types conservatively report false, so
-// analyzers stay silent instead of guessing.
-func refLike(t types.Type) bool {
-	return refLikeDepth(t, 0)
-}
-
-func refLikeDepth(t types.Type, depth int) bool {
-	if t == nil || depth > 8 {
-		return false
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map, *types.Chan,
-		*types.Signature, *types.Interface:
-		return true
-	case *types.Array:
-		return refLikeDepth(u.Elem(), depth+1)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if refLikeDepth(u.Field(i).Type(), depth+1) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // basePath splits a selector chain into its root identifier's object

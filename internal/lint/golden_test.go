@@ -14,10 +14,6 @@ var goldenWant = []string{
 	"cmd/badexit/main.go:13: exitdiscipline: log.Fatal exits without the usage/exit-code discipline; use the fatal helper (exit 1) or usageErr (exit 2) instead",
 	"cmd/badexit/main.go:16: exitdiscipline: os.Exit outside the usageErr/fatal helpers; route flag-validation failures through usageErr (exit 2) and runtime failures through fatal (exit 1)",
 	"cmd/badexit/main.go:25: exitdiscipline: usageErr must exit with status 2, got os.Exit(1)",
-	"internal/badbulk/badbulk.go:14: bulkcharge: per-word Read on a unit-stride address inside a +1 loop charges per word — use ReadRange to charge the interval in O(segments)",
-	"internal/badbulk/badbulk.go:23: bulkcharge: per-word Write on a unit-stride address inside a +1 loop charges per word — use WriteRange to charge the interval in O(segments)",
-	"internal/badbulk/badbulk.go:31: bulkcharge: per-word Read on a unit-stride address inside a +1 loop charges per word — use ReadRange to charge the interval in O(segments)",
-	"internal/badbulk/badbulk.go:39: bulkcharge: per-word SwapWords on a unit-stride address inside a +1 loop charges per word — use SwapRange to charge the interval in O(segments)",
 	`internal/badconfine/badconfine.go:14: stepconfine: Run closure writes captured variable "total"; processors execute concurrently, so writes to enclosing-scope state race (keep per-processor state in the Ctx, or aggregate after the run)`,
 	`internal/badconfine/badconfine.go:26: stepconfine: Run closure writes captured variable "log"; processors execute concurrently, so writes to enclosing-scope state race (keep per-processor state in the Ctx, or aggregate after the run)`,
 	"internal/baddetflow/baddetflow.go:35: detflow: argument to Emit is tainted by map-iteration order (baddetflow.go:31) and reaches printed output inside it (baddetflow.go:22): nondeterminism in output breaks the byte-identical sweep contract",
@@ -31,7 +27,7 @@ var goldenWant = []string{
 	`internal/badfold/badfold.go:51: floatfold: float64 accumulation into captured "total" from a goroutine: workers fold in completion order, which reassociates the sum; accumulate per-worker partials and merge them in a fixed order`,
 	`internal/badfold/badfold.go:55: floatfold: float64 accumulation into captured "total" from a goroutine: workers fold in completion order, which reassociates the sum; accumulate per-worker partials and merge them in a fixed order`,
 	"internal/badfold/badfold.go:92: floatfold: go importInto: the callee accumulates float64 cost (badfold.go:85) into caller-visible state, and goroutines complete in scheduling order; merge per-worker partials in a fixed order instead",
-	`internal/badfold/badfold.go:100: floatfold: goroutine calls Add, which accumulates float64 cost (metrics.go:59), on captured "c": partials fold in completion order, which reassociates the sum; merge per-worker partials in a fixed order instead`,
+	`internal/badfold/badfold.go:100: floatfold: goroutine calls Add, which accumulates float64 cost (metrics.go:14), on captured "c": partials fold in completion order, which reassociates the sum; merge per-worker partials in a fixed order instead`,
 	"internal/badlock/badlock.go:20: lockdiscipline: \"count\" is annotated `guarded by mu` but t.mu is not held here — lock it first or move the access into a *Locked helper",
 	"internal/badlock/badlock.go:29: lockdiscipline: \"names\" is annotated `guarded by mu` but t.mu is not held here — lock it first or move the access into a *Locked helper",
 	"internal/badlock/badlock.go:40: lockdiscipline: \"count\" is annotated `guarded by mu` but t.mu is not held here — lock it first or move the access into a *Locked helper",
@@ -45,13 +41,6 @@ var goldenWant = []string{
 	"internal/badseed/badseed.go:79: detflow: value tainted by a wall-clock reading (badseed.go:21) via Stamp reaches printed output: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
 	"internal/badseed/badseed.go:80: detflow: value tainted by a global math/rand draw (badseed.go:26) via Draw reaches printed output: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
 	"internal/badseed/badseed.go:82: detflow: value tainted by map-iteration order (badseed.go:53) via Keys reaches printed output: nondeterminism in output breaks the byte-identical sweep contract (sort, seed, or //lint:ignore detflow with a reason)",
-	`internal/badshare/badshare.go:32: sharesafe: "jobs" was captured by a goroutine's closure at line 26; writing it afterwards races with the receiving goroutine — hand off a copy, or synchronize before reusing it`,
-	`internal/badshare/badshare.go:40: sharesafe: "buf" was sent over a channel at line 39; writing through it afterwards races with the receiving goroutine — hand off a copy, or synchronize before reusing it`,
-	`internal/badshare/badshare.go:48: sharesafe: "scale" was captured by a closure sent over a channel at line 47; writing it afterwards races with the receiving goroutine — hand off a copy, or synchronize before reusing it`,
-	`internal/badshare/badshare.go:55: sharesafe: "view" was handed to a goroutine at line 54; appending to it in place afterwards races with the receiving goroutine — hand off a copy, or synchronize before reusing it`,
-	"internal/obs/metrics.go:48: snapshotonly: obs.Add mutates observability state but is reachable from an obshttp handler — handlers must stay snapshot-only (the static form of TestServeLiveObservability's contract)",
-	"internal/obs/obshttp/handlers.go:26: snapshotonly: obs.Add mutates observability state but is reachable from an obshttp handler — handlers must stay snapshot-only (the static form of TestServeLiveObservability's contract)",
-	"internal/obs/obshttp/handlers.go:45: snapshotonly: obs.Reset mutates observability state but is reachable from an obshttp handler — handlers must stay snapshot-only (the static form of TestServeLiveObservability's contract)",
 	"internal/obs/sink.go:11: nilguard: exported method (*Sink).Emit must begin with a nil-receiver guard (`if s == nil`) so disabled instrumentation stays free",
 	"internal/progs/progs.go:19: stepshape: Program.Steps literal must end with a Label: 0 superstep (global barrier, paper Section 2); last superstep has Label: 2",
 	"internal/progs/progs.go:26: stepshape: Program V = 12 is not a positive power of two; the D-BSP cluster hierarchy needs V = 2^k (paper Section 2)",

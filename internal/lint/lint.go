@@ -13,13 +13,12 @@
 // resolving out-of-module imports to empty placeholders; the typed
 // analyzers (stepshape, stepconfine) use it to statically prove the
 // paper's Section 2 program discipline and handler state confinement.
-// The dataflow layer (cfg.go, dataflow.go) builds per-function
-// control-flow graphs and reaching definitions on top of the typed
-// pass; the dataflow analyzers (sharesafe, lockdiscipline,
-// snapshotonly, bulkcharge) use it for the flow-sensitive concurrency
-// and cost disciplines the sharded engine refactor depends on
-// (DESIGN §10). The interprocedural layer (callgraph.go, summary.go)
-// builds the module call graph and bottom-up per-function summaries;
+// The dataflow layer (cfg.go) builds per-function control-flow graphs
+// and a generic forward solver on top of the typed pass; its one
+// analyzer, lockdiscipline, checks the `// guarded by` field
+// discipline along every path (DESIGN §10). The interprocedural layer
+// (callgraph.go, summary.go) builds the module call graph and
+// bottom-up per-function summaries;
 // its analyzers (detflow, floatfold) certify across call chains that no
 // nondeterminism source reaches the byte-compared outputs and that
 // every charged float64 fold is order-fixed (DESIGN §12). Everything
@@ -79,10 +78,10 @@ type Pass struct {
 	Analyzer *Analyzer
 	// Pkg is the package under inspection.
 	Pkg *Package
-	// All is every module package in the run (Pkg included), for
-	// module-wide analyzers like snapshotonly that chase calls across
-	// package boundaries. All packages share one FileSet, so positions
-	// from any of them render correctly through Reportf.
+	// All is every module package in the run (Pkg included), for the
+	// interprocedural layer, which chases calls across package
+	// boundaries. All packages share one FileSet, so positions from any
+	// of them render correctly through Reportf.
 	All []*Package
 	// run is the shared per-Run state.
 	run *runState
@@ -152,7 +151,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 }
 
 // Analyzers returns the full suite in display order: the syntactic
-// checks first, then the dbspvet typed pass, the dataflow analyzers,
+// checks first, then the dbspvet typed pass, the dataflow analyzer,
 // and the interprocedural determinism vet.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
@@ -161,10 +160,7 @@ func Analyzers() []*Analyzer {
 		ExitDiscipline,
 		StepShape,
 		StepConfine,
-		ShareSafe,
 		LockDiscipline,
-		SnapshotOnly,
-		BulkCharge,
 		DetFlow,
 		FloatFold,
 	}

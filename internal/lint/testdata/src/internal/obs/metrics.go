@@ -1,52 +1,7 @@
-// metrics.go mirrors the real obs Registry surface for the
-// snapshotonly fixtures: read-only accessors next to mutating APIs,
-// plus a package-level helper the call-graph walk must cross into.
-// Every exported pointer-receiver method carries the nilguard
-// discipline, like the real package.
+// metrics.go is the obs surface the floatfold fixtures call. Every
+// exported pointer-receiver method carries the nilguard discipline,
+// like the real package.
 package obs
-
-// Registry is the fixture stand-in for the metric registry.
-type Registry struct {
-	total int64
-}
-
-// Snapshot returns a consistent copy of the registry state (read-only).
-func (r *Registry) Snapshot() []int64 {
-	if r == nil {
-		return nil
-	}
-	return []int64{r.total}
-}
-
-// Value reads the running total (read-only).
-func (r *Registry) Value() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.total
-}
-
-// Add accumulates into the total (mutating).
-func (r *Registry) Add(n int64) {
-	if r == nil {
-		return
-	}
-	r.total += n
-}
-
-// Reset clears the registry (mutating).
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.total = 0
-}
-
-// Drain zeroes the registry through Add — the cross-package body the
-// snapshotonly walk descends into from an obshttp handler.
-func Drain(r *Registry) {
-	r.Add(-r.Value())
-}
 
 // FloatCounter mirrors the real float metric for the floatfold
 // fixtures: Add accumulates into the receiver, so its summary names

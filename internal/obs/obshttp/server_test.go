@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -27,21 +28,26 @@ func get(t *testing.T, url string) (int, string, string) {
 }
 
 // TestServeEndpoints spins up a real listener on an ephemeral port and
-// exercises every endpoint, then shuts down gracefully.
+// exercises every endpoint, then shuts down gracefully. Scrapes are
+// snapshot-only: afterwards the registry and the profile must read
+// exactly as before, or a scrape could perturb the sweep it observes.
 func TestServeEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("hmm.reads").Add(3)
+	reg.Histogram("sweep.job.wall_ms").Observe(5)
 	prof := obs.NewProfile()
 	prof.Scope("E01").Add(2, "hmm", "compute")
 	srv, err := Serve("127.0.0.1:0", Options{
-		Registry: reg,
-		Progress: func() any { return map[string]int{"total": 5, "completed": 2} },
-		Profile:  prof,
+		Registry:  reg,
+		Progress:  func() any { return map[string]int{"total": 5, "completed": 2} },
+		Profile:   prof,
+		Quantiles: []float64{0.5, 0.99},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := "http://" + srv.Addr()
+	wantSamples, wantStacks := reg.Snapshot(), prof.Folded()
 
 	code, body, ct := get(t, base+"/metrics")
 	if code != http.StatusOK {
@@ -50,7 +56,8 @@ func TestServeEndpoints(t *testing.T) {
 	if !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("/metrics content type = %q", ct)
 	}
-	if !strings.Contains(body, "# TYPE hmm_reads counter\nhmm_reads 3\n") {
+	if !strings.Contains(body, "# TYPE hmm_reads counter\nhmm_reads 3\n") ||
+		!strings.Contains(body, `sweep_job_wall_ms_quantile{quantile="0.99"}`) {
 		t.Errorf("/metrics body = %q", body)
 	}
 
@@ -80,6 +87,13 @@ func TestServeEndpoints(t *testing.T) {
 	code, body, _ = get(t, base+"/debug/pprof/")
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ = %d (len %d)", code, len(body))
+	}
+
+	if got := reg.Snapshot(); !reflect.DeepEqual(got, wantSamples) {
+		t.Errorf("scrapes changed the registry:\n got  %+v\n want %+v", got, wantSamples)
+	}
+	if got := prof.Folded(); !reflect.DeepEqual(got, wantStacks) {
+		t.Errorf("scrapes changed the cost profile:\n got  %+v\n want %+v", got, wantStacks)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -337,7 +337,9 @@ func (s *Scheduler) Stream(id string) (*resultStream, error) {
 
 // Cancel cancels job id: a queued job is dropped before it runs, a
 // running job has its sweep context cancelled (remaining experiments
-// skip; the job lands in state cancelled). Terminal jobs are left
+// skip; the job lands in state cancelled). A cancel that reaches a
+// running job after its last experiment finished ok changes nothing:
+// the job lands done and its run is cached. Terminal jobs are left
 // untouched. Cancel is idempotent.
 func (s *Scheduler) Cancel(id string) (JobStatus, error) {
 	s.mu.Lock()
@@ -514,7 +516,7 @@ func (s *Scheduler) runSweep(j *job) {
 	if workers == 0 {
 		workers = s.cfg.Workers
 	}
-	_, err := sweep.Run(j.runCtx, j.sjobs, sweep.Options{
+	outs, err := sweep.Run(j.runCtx, j.sjobs, sweep.Options{
 		Workers:   workers,
 		KeepGoing: true,
 		Quick:     j.spec.Quick,
@@ -526,7 +528,14 @@ func (s *Scheduler) runSweep(j *job) {
 			j.stream.append(encodeLine(o))
 		},
 	})
-	s.finishJob(j, err)
+	// The outcomes, not err, tell whether the run is whole: a cancel
+	// that lands after the last experiment finished leaves every
+	// outcome ok, yet Run may still report the cancelled context.
+	whole := len(outs) == len(j.sjobs)
+	for _, o := range outs {
+		whole = whole && o.Status == sweep.StatusOK
+	}
+	s.finishJob(j, whole, err)
 }
 
 // encodeLine renders one outcome as its JSONL line, byte-identical to
@@ -546,8 +555,9 @@ func encodeLine(o sweep.Outcome) []byte {
 }
 
 // finishJob lands j's terminal state, feeds the cache, retires j, and
-// dispatches whatever the freed slots allow.
-func (s *Scheduler) finishJob(j *job, runErr error) {
+// dispatches whatever the freed slots allow. A whole run, every
+// experiment ok, lands done even if a cancel arrived after it finished.
+func (s *Scheduler) finishJob(j *job, whole bool, runErr error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j.cancel() // release the context's resources; idempotent
@@ -557,7 +567,7 @@ func (s *Scheduler) finishJob(j *job, runErr error) {
 		delete(s.tenantRunning, j.spec.Tenant)
 	}
 	switch {
-	case j.cancelled:
+	case j.cancelled && !whole:
 		j.state = StateCancelled
 		if runErr != nil {
 			j.errMsg = runErr.Error()
@@ -566,7 +576,7 @@ func (s *Scheduler) finishJob(j *job, runErr error) {
 		}
 		s.cancelled++
 		s.cCancelled.Inc()
-	case runErr != nil:
+	case runErr != nil && !whole:
 		j.state = StateFailed
 		j.errMsg = runErr.Error()
 		s.failed++

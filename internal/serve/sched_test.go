@@ -311,6 +311,38 @@ func TestSchedulerCancel(t *testing.T) {
 	waitState(t, s2, redo.ID, StateDone)
 }
 
+// TestLateCancelKeepsFinishedRun cancels a running job after its sweep
+// wrote its last line but before finishJob takes s.mu. Every experiment
+// finished ok, so the job lands done and its run feeds the cache.
+func TestLateCancelKeepsFinishedRun(t *testing.T) {
+	cat, gate := gateCatalog(t)
+	s := NewScheduler(cat, Config{})
+	defer s.Close()
+	spec := Spec{IDs: []string{"G"}, Seed: 1}
+	st, _ := s.Submit(spec)
+	waitState(t, s, st.ID, StateRunning)
+
+	s.mu.Lock()
+	j := s.jobs[st.ID]
+	close(gate)
+	for deadline := time.Now().Add(10 * time.Second); j.stream.snapshotLen() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			s.mu.Unlock()
+			t.Fatal("the sweep never wrote its line")
+		}
+	}
+	s.cancelLocked(j)
+	s.mu.Unlock()
+
+	waitStreamDone(t, s, st.ID)
+	if got, _ := s.Status(st.ID); got.State != StateDone {
+		t.Errorf("state %s (err %q), want done", got.State, got.Err)
+	}
+	if again, _ := s.Submit(spec); !again.Cached {
+		t.Error("resubmission of the finished run missed the cache")
+	}
+}
+
 func TestSchedulerFailedRunNotCached(t *testing.T) {
 	c, err := NewCatalog([]sweep.Job{
 		{ID: "OK", Run: func(ctx context.Context, p sweep.Params) (any, error) { return 1, nil }},

@@ -80,7 +80,6 @@ func NewProgress() *Progress { return &Progress{} }
 // nowLocked returns the tracker-relative wall offset in milliseconds;
 // callers hold p.mu (it reads p.begun).
 func (p *Progress) nowLocked() float64 {
-	//lint:ignore detflow progress offsets feed live gauges and /debug/progress only, never the byte-compared sweep records
 	return float64(time.Since(p.begun)) / float64(time.Millisecond)
 }
 

@@ -200,7 +200,7 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Outcome, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	sweepStart := time.Now() //lint:ignore detflow flows only into start_ms, a documented run-varying record field the golden comparison masks
+	sweepStart := time.Now()
 	opt.Progress.begin(jobs, workers, opt.Obs)
 	defer opt.Progress.finish()
 
@@ -270,10 +270,10 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Outcome, error) {
 				}
 				started.Inc()
 				opt.Progress.jobRunning(i)
-				begin := time.Now() //lint:ignore detflow flows only into start_ms/wall_ms, documented run-varying record fields the golden comparison masks
+				begin := time.Now()
 				out.Start = begin.Sub(sweepStart)
 				val, err := runJob(ctx, job, p)
-				out.Wall = time.Since(begin) //lint:ignore detflow wall_ms is a documented run-varying record field the golden comparison masks
+				out.Wall = time.Since(begin)
 				wallHist.Observe(out.Wall.Milliseconds())
 				if reg != nil {
 					out.Metrics = reg.Snapshot()

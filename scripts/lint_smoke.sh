@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # Lint smoke: the full dbsplint suite — syntactic checks, the dbspvet
-# typed pass, the dataflow analyzers (sharesafe, lockdiscipline,
-# snapshotonly, bulkcharge), and the interprocedural determinism vet
-# (detflow, floatfold) — must run clean over the module, and fast. The
-# wall-clock budget (5s, build excluded) guards the analysis layers:
-# CFG construction and fixpoint solving run per function, the call
-# graph and summary fixpoint per module, and a superlinear regression
-# in either would make per-push linting unusable long before it made
-# it wrong. The suite measured 0.63-1.08s on 2 vCPUs (Intel Xeon,
-# eight runs), so the budget leaves over 4x headroom for slower CI
-# runners.
+# typed pass, the dataflow analyzer (lockdiscipline), and the
+# interprocedural determinism vet (detflow, floatfold) — must run clean
+# over the module, and fast. The wall-clock budget (5s, build
+# excluded) guards the analysis layers: CFG construction and fixpoint
+# solving run per function, the call graph and summary fixpoint per
+# module, and a superlinear regression in either would make per-push
+# linting unusable long before it made it wrong. The suite measured
+# 0.63-1.08s on 2 vCPUs (Intel Xeon, eight runs), so the budget leaves
+# over 4x headroom for slower CI runners.
 #
 # Usage: scripts/lint_smoke.sh   (from anywhere inside the repo)
 set -euo pipefail
